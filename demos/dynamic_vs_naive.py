@@ -19,12 +19,11 @@ from numfac import (
     length_sets_up_to,
     omega_up_to,
 )
-from numfac.factorization import _combo_grid, _sorted_grid
+from numfac.factorization import _sorted_grid
 
 S = NumericalMonoid([10, 17, 19, 25, 31])
 N = 700
 
-_combo_grid.cache_clear()
 _sorted_grid.cache_clear()
 
 print(f"S = {S}, sweeping m = 0..{N}\n")

@@ -8,8 +8,9 @@
 Results are printed to stdout; diagnostics go to stderr.  JSON output is
 one canonical document (sorted keys, no whitespace) wrapping the
 command payload in an envelope that echoes the minimal generators and
-the Frobenius number.  ``--stream`` switches the up-to commands to JSON
-Lines, one element per line.  All numbers are integers except the
+the Frobenius number.  ``--stream`` switches the sweep commands
+(factorizations-up-to, omega-up-to, plotdata) to JSON Lines, one element
+per line.  All numbers are integers except the
 quasilinear offsets, which are exact fractions rendered as "p/q".
 
 Exit codes: 0 success, 1 usage or precondition error, 2 invalid monoid,
@@ -20,17 +21,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import json
 import sys
 import time
+from collections.abc import Callable, Iterable, Iterator
+from typing import NamedTuple
 
 from . import __version__
-from .delta import delta_of_lengths, delta_periodicity, delta_set
+from .delta import _deltas_up_to, delta_of_lengths, delta_periodicity, delta_set
 from .errors import Int64Overflow, MonoidInputError, NotInMonoid
 from .factorization import (
-    _combo_grid,
-    _length_masks_up_to,
-    _mask_to_lengths,
     _sorted_grid,
     brute_force_factorizations,
     factorizations,
@@ -48,39 +50,6 @@ from .omega import (
     quasilinear_model,
 )
 from .verify import run_suite
-
-COMMANDS = (
-    "info",
-    "contains",
-    "apery",
-    "pseudo-frobenius",
-    "factorizations",
-    "factorizations-up-to",
-    "lengths",
-    "delta",
-    "delta-set",
-    "delta-periodicity",
-    "omega",
-    "omega-up-to",
-    "bullets",
-    "quasilinear",
-    "dissonance",
-    "plotdata",
-    "verify",
-    "bench",
-)
-
-_NEEDS_N = {
-    "contains",
-    "apery",
-    "factorizations",
-    "factorizations-up-to",
-    "lengths",
-    "delta",
-    "omega",
-    "omega-up-to",
-    "bullets",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,10 +87,6 @@ def _parse_gens(text, parser):
         parser.error(f"--gens expects comma-separated integers, got {text!r}")
 
 
-def _fraction_str(f):
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _dumps(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -130,191 +95,163 @@ def _desc_lex(vectors):
     return sorted(vectors, reverse=True)
 
 
+def _columns(prefix, k):
+    return [f"{prefix}{i + 1}" for i in range(k)]
+
+
+class _Output(NamedTuple):
+    """A command's result, with each output form described once.
+
+    Only the form that ``--format`` or ``--stream`` selects is rendered.
+    A sweep's forms are generators over one shared scan, so that form
+    alone runs the scan and its rows reach stdout as they come.  Payload
+    values that are iterators are listed when the JSON document is built.
+    """
+
+    payload: dict
+    header: list  # CSV header
+    rows: Iterable  # CSV rows
+    lines: Iterable  # plain lines
+    items: Iterable = ()  # JSON Lines documents for --stream
+    ok: bool = True  # exit 1 when false
+
+
+def _column(payload, key, header):
+    """payload[key] as one CSV column, and on one plain line."""
+    values = payload[key]
+    return _Output(payload, [header], ([v] for v in values), [" ".join(map(str, values))])
+
+
+def _table(payload, key, header, sep=","):
+    """payload[key] as CSV rows, one plain line per row joined by ``sep``, one JSON line each."""
+    rows = payload[key]
+    return _Output(payload, header, rows, (sep.join(map(str, r)) for r in rows), rows)
+
+
+def _record(fields, keys=None):
+    """``key: value`` lines in plain, one CSV row of the fields in ``keys``.
+
+    ``keys`` (default: every field) also selects the fields shown.  List
+    values are joined by ";" in CSV and by spaces in plain.
+    """
+    keys = list(keys or fields)
+    shown = {k: v for k, v in fields.items() if k in keys}
+    return _Output(
+        shown,
+        keys,
+        [[_joined(fields[k], ";") for k in keys]],
+        [f"{k}: {_joined(v, ' ')}" for k, v in shown.items()],
+    )
+
+
+def _joined(value, sep):
+    return sep.join(map(str, value)) if isinstance(value, list) else value
+
+
 # ---------------------------------------------------------------- handlers
-# each returns (payload_dict, csv_header, csv_rows, plain_lines)
+# each takes (monoid, args) and returns an _Output
 
 
 def _cmd_info(S, args):
-    payload = {
+    return _record({
         "generators": list(S.generators),
         "k": S.k,
         "frobenius": S.frobenius,
         "period_hint": S.period_hint,
         "removed_generators": list(S.removed_generators),
-    }
-    header = ["generators", "k", "frobenius", "period_hint", "removed_generators"]
-    rows = [[
-        ";".join(map(str, S.generators)),
-        S.k,
-        S.frobenius,
-        S.period_hint,
-        ";".join(map(str, S.removed_generators)),
-    ]]
-    plain = [
-        f"generators: {' '.join(map(str, S.generators))}",
-        f"k: {S.k}",
-        f"frobenius: {S.frobenius}",
-        f"period_hint: {S.period_hint}",
-        f"removed_generators: {' '.join(map(str, S.removed_generators))}",
-    ]
-    return payload, header, rows, plain
+    })
 
 
 def _cmd_contains(S, args):
     member = S.contains(args.n)
-    payload = {"n": args.n, "member": member}
-    return payload, ["n", "member"], [[args.n, int(member)]], [str(member).lower()]
+    return _Output({"n": args.n, "member": member}, ["n", "member"], [[args.n, int(member)]],
+                   [str(member).lower()])
 
 
 def _cmd_apery(S, args):
     ap = S.apery_set(args.n)
-    payload = {"base": ap.base, "elements": list(ap.elements)}
-    rows = [[v] for v in ap.elements]
-    return payload, ["element"], rows, [" ".join(map(str, ap.elements))]
+    return _column({"base": ap.base, "elements": list(ap.elements)}, "elements", "element")
 
 
 def _cmd_pseudo_frobenius(S, args):
-    pf = S.pseudo_frobenius()
-    payload = {"pseudo_frobenius": list(pf)}
-    return payload, ["value"], [[v] for v in pf], [" ".join(map(str, pf))]
+    return _column({"pseudo_frobenius": list(S.pseudo_frobenius())}, "pseudo_frobenius", "value")
 
 
 def _cmd_factorizations(S, args):
     Z = _desc_lex(factorizations(S, args.n))
-    payload = {"n": args.n, "count": len(Z), "factorizations": [list(a) for a in Z]}
-    header = [f"a{i + 1}" for i in range(S.k)]
-    plain = [",".join(map(str, a)) for a in Z]
-    return payload, header, [list(a) for a in Z], plain
+    payload = {"n": args.n, "count": len(Z), "factorizations": Z}
+    return _table(payload, "factorizations", _columns("a", S.k))
 
 
 def _cmd_factorizations_up_to(S, args):
-    elements = []
-    for m, Z in factorizations_up_to(S, args.n):
-        vecs = _desc_lex(tuple(int(v) for v in row) for row in Z)
-        elements.append({"m": m, "count": len(vecs), "factorizations": [list(a) for a in vecs]})
-    payload = {"elements": elements}
-    header = ["m"] + [f"a{i + 1}" for i in range(S.k)]
-    rows = [[e["m"], *a] for e in elements for a in e["factorizations"]]
-    plain = [f"{e['m']}: " + " ".join(",".join(map(str, a)) for a in e["factorizations"]) for e in elements]
-    return payload, header, rows, plain
+    elements = ({"m": m, "count": len(Z), "factorizations": _desc_lex(Z.tolist())}
+                for m, Z in factorizations_up_to(S, args.n))
+    return _Output(
+        {"elements": elements},
+        ["m", *_columns("a", S.k)],
+        ([e["m"], *a] for e in elements for a in e["factorizations"]),
+        (f"{e['m']}: " + " ".join(",".join(map(str, a)) for a in e["factorizations"])
+         for e in elements),
+        elements,
+    )
 
 
 def _cmd_lengths(S, args):
-    L = length_set(S, args.n)
-    payload = {"n": args.n, "lengths": list(L)}
-    return payload, ["length"], [[v] for v in L], [" ".join(map(str, L))]
+    return _column({"n": args.n, "lengths": list(length_set(S, args.n))}, "lengths", "length")
 
 
 def _cmd_delta(S, args):
     L = length_set(S, args.n)
-    d = delta_of_lengths(L) if L else ()
-    payload = {"n": args.n, "delta": list(d)}
-    return payload, ["gap"], [[v] for v in d], [" ".join(map(str, d))]
+    return _column({"n": args.n, "delta": list(delta_of_lengths(L) if L else ())}, "delta", "gap")
 
 
 def _cmd_delta_set(S, args):
     d = delta_set(S, bound_override=args.bound)
-    payload = {"delta_set": list(d)}
-    return payload, ["gap"], [[v] for v in d], [" ".join(map(str, d))]
+    return _column({"delta_set": list(d)}, "delta_set", "gap")
 
 
 def _cmd_delta_periodicity(S, args):
     horizon = args.horizon
     if horizon is None:
         horizon = S.period_hint + S.generators[-1]
-    rep = delta_periodicity(S, horizon)
-    payload = {
-        "dissonance_start": rep.dissonance_start,
-        "period": rep.period,
-        "verified_up_to": rep.verified_up_to,
-    }
-    header = ["dissonance_start", "period", "verified_up_to"]
-    row = [rep.dissonance_start, rep.period, rep.verified_up_to]
-    plain = [f"dissonance_start: {rep.dissonance_start}", f"period: {rep.period}",
-             f"verified_up_to: {rep.verified_up_to}"]
-    return payload, header, [row], plain
+    return _record(dataclasses.asdict(delta_periodicity(S, horizon)))
 
 
 def _cmd_omega(S, args):
     w = omega(S, args.n)
-    payload = {"n": args.n, "omega": w}
-    return payload, ["n", "omega"], [[args.n, w]], [str(w)]
+    return _Output({"n": args.n, "omega": w}, ["n", "omega"], [[args.n, w]], [str(w)])
 
 
 def _cmd_omega_up_to(S, args):
-    values = omega_up_to(S, args.n, domain=args.domain)
-    pairs = sorted(values.items())
-    payload = {"values": [[m, w] for m, w in pairs]}
-    plain = [f"{m} {w}" for m, w in pairs]
-    return payload, ["n", "omega"], [list(p) for p in pairs], plain
+    pairs = sorted(omega_up_to(S, args.n, domain=args.domain).items())
+    out = _table({"values": pairs}, "values", ["n", "omega"], " ")
+    return out._replace(items=({"m": m, "omega": w} for m, w in pairs))
 
 
 def _cmd_bullets(S, args):
     if args.method == "dp":
         pairs = dynamic_bullets(S, args.n)
-        w = max(l for _, l in pairs)
-        payload = {"n": args.n, "method": "dp", "omega": w,
-                   "dynamic_bullets": [list(p) for p in pairs]}
-        rows = [list(p) for p in pairs]
-        plain = [f"{v},{l}" for v, l in pairs]
-        return payload, ["value", "length"], rows, plain
+        payload = {"n": args.n, "method": "dp", "omega": max(l for _, l in pairs),
+                   "dynamic_bullets": pairs}
+        return _table(payload, "dynamic_bullets", ["value", "length"])
     fn = bullets_via_apery if args.method == "apery" else bullets_brute_force
     bullets = _desc_lex(fn(S, args.n))
-    w = max(sum(b) for b in bullets)
-    payload = {"n": args.n, "method": args.method, "omega": w,
-               "bullets": [list(b) for b in bullets]}
-    header = [f"b{i + 1}" for i in range(S.k)]
-    plain = [",".join(map(str, b)) for b in bullets]
-    return payload, header, [list(b) for b in bullets], plain
+    payload = {"n": args.n, "method": args.method, "omega": max(sum(b) for b in bullets),
+               "bullets": bullets}
+    return _table(payload, "bullets", _columns("b", S.k))
 
 
-def _model_payload(model):
-    return {
+# ``keys`` are the CSV columns, offsets last; ``dissonance`` selects two of them
+def _cmd_quasilinear(S, args, keys=("n1", "threshold", "dissonance", "dissonance_in_monoid",
+                                     "offsets")):
+    model = quasilinear_model(S)
+    return _record({
         "n1": model.n1,
         "threshold": model.threshold,
-        "offsets": [_fraction_str(o) for o in model.offsets],
+        "offsets": [f"{o.numerator}/{o.denominator}" for o in model.offsets],
         "dissonance": model.dissonance,
         "dissonance_in_monoid": model.dissonance_in_monoid,
-    }
-
-
-def _cmd_quasilinear(S, args):
-    model = quasilinear_model(S)
-    payload = _model_payload(model)
-    header = ["n1", "threshold", "dissonance", "dissonance_in_monoid", "offsets"]
-    row = [model.n1, model.threshold, model.dissonance, model.dissonance_in_monoid,
-           ";".join(payload["offsets"])]
-    plain = [f"n1: {model.n1}", f"threshold: {model.threshold}",
-             f"offsets: {' '.join(payload['offsets'])}",
-             f"dissonance: {model.dissonance}",
-             f"dissonance_in_monoid: {model.dissonance_in_monoid}"]
-    return payload, header, [row], plain
-
-
-def _cmd_dissonance(S, args):
-    model = quasilinear_model(S)
-    payload = {"dissonance": model.dissonance,
-               "dissonance_in_monoid": model.dissonance_in_monoid}
-    header = ["dissonance", "dissonance_in_monoid"]
-    return payload, header, [[model.dissonance, model.dissonance_in_monoid]], [
-        f"dissonance: {model.dissonance}",
-        f"dissonance_in_monoid: {model.dissonance_in_monoid}",
-    ]
-
-
-def _plot_rows(S, kind, horizon):
-    if kind == "delta":
-        for m, mask in _length_masks_up_to(S, horizon):
-            lengths = _mask_to_lengths(mask)
-            if len(lengths) < 2 or m == 0:
-                continue
-            for d in delta_of_lengths(lengths):
-                yield (m, d)
-    else:
-        base, values, _ = _scan(S, horizon)
-        for m in range(-S.frobenius - 1, horizon + 1):
-            w = int(values[m - base]) if m >= base else 0
-            yield (m, w, int(S.contains(m)))
+    }, keys)
 
 
 def _cmd_plotdata(S, args):
@@ -323,28 +260,31 @@ def _cmd_plotdata(S, args):
         horizon = args.n
     if horizon is None:
         raise ValueError("plotdata requires --horizon")
-    rows = [list(r) for r in _plot_rows(S, args.kind, horizon)]
-    payload = {"kind": args.kind, "rows": rows}
-    header = ["n", "d"] if args.kind == "delta" else ["n", "omega", "in_monoid"]
-    plain = [" ".join(map(str, r)) for r in rows]
-    return payload, header, rows, plain
+    if args.kind == "delta":
+        rows = ((m, d) for m, gaps in _deltas_up_to(S, horizon) for d in gaps)
+        header = ["n", "d"]
+    else:
+        base, values, _ = _scan(S, horizon)
+        rows = ((m, int(values[m - base]) if m >= base else 0, int(S.contains(m)))
+                for m in range(-S.frobenius - 1, horizon + 1))
+        header = ["n", "omega", "in_monoid"]
+    return _table({"kind": args.kind, "rows": rows}, "rows", header, " ")
 
 
 def _cmd_verify(S, args):
     n = args.n if args.n is not None else 200
     results = run_suite(S, n=n)
-    payload = {
-        "properties": [
-            {"name": r.name, "checked": r.checked, "failures": r.failures}
-            for r in results
-        ],
-        "ok": all(r.ok for r in results),
-    }
-    header = ["property", "checked", "failures"]
-    rows = [[r.name, r.checked, r.failures] for r in results]
-    plain = [f"{'PASS' if r.ok else 'FAIL'} {r.name}: checked {r.checked}, failures {r.failures}"
-             for r in results]
-    return payload, header, rows, plain
+    ok = all(r.ok for r in results)
+    return _Output(
+        {"properties": [{"name": r.name, "checked": r.checked, "failures": r.failures}
+                        for r in results],
+         "ok": ok},
+        ["property", "checked", "failures"],
+        [[r.name, r.checked, r.failures] for r in results],
+        [f"{'PASS' if r.ok else 'FAIL'} {r.name}: checked {r.checked}, failures {r.failures}"
+         for r in results],
+        ok=ok,
+    )
 
 
 def _cmd_bench(S, args):
@@ -356,10 +296,9 @@ def _cmd_bench(S, args):
     dyn_z = time.perf_counter() - t0
 
     # the naive route restarts per element: drop the memoized
-    # enumeration grids each time so the restart is real
+    # enumeration grid each time so the restart is real
     t0 = time.perf_counter()
     for m in range(n + 1):
-        _combo_grid.cache_clear()
         _sorted_grid.cache_clear()
         brute_force_factorizations(S, m)
     naive_z = time.perf_counter() - t0
@@ -379,57 +318,72 @@ def _cmd_bench(S, args):
         {"name": "omega dynamic", "ms": int(dyn_w * 1000)},
         {"name": "omega naive", "ms": int(naive_w * 1000)},
     ]
-    payload = {"results": results,
-               "dynamic_faster": dyn_z < naive_z and dyn_w < naive_w}
-    header = ["name", "ms"]
-    rows = [[r["name"], r["ms"]] for r in results]
-    plain = [f"{r['name']}: {r['ms']} ms" for r in results] + [
-        f"dynamic_faster: {str(payload['dynamic_faster']).lower()}"
-    ]
-    return payload, header, rows, plain
+    faster = dyn_z < naive_z and dyn_w < naive_w
+    return _Output(
+        {"results": results, "dynamic_faster": faster},
+        ["name", "ms"],
+        [[r["name"], r["ms"]] for r in results],
+        [f"{r['name']}: {r['ms']} ms" for r in results]
+        + [f"dynamic_faster: {str(faster).lower()}"],
+        ok=faster,
+    )
 
 
-_HANDLERS = {
-    "info": _cmd_info,
-    "contains": _cmd_contains,
-    "apery": _cmd_apery,
-    "pseudo-frobenius": _cmd_pseudo_frobenius,
-    "factorizations": _cmd_factorizations,
-    "factorizations-up-to": _cmd_factorizations_up_to,
-    "lengths": _cmd_lengths,
-    "delta": _cmd_delta,
-    "delta-set": _cmd_delta_set,
-    "delta-periodicity": _cmd_delta_periodicity,
-    "omega": _cmd_omega,
-    "omega-up-to": _cmd_omega_up_to,
-    "bullets": _cmd_bullets,
-    "quasilinear": _cmd_quasilinear,
-    "dissonance": _cmd_dissonance,
-    "plotdata": _cmd_plotdata,
-    "verify": _cmd_verify,
-    "bench": _cmd_bench,
+class _Command(NamedTuple):
+    run: Callable  # (monoid, args) -> _Output
+    needs_n: bool = False
+    streams: bool = False
+
+
+COMMANDS = {
+    "info": _Command(_cmd_info),
+    "contains": _Command(_cmd_contains, needs_n=True),
+    "apery": _Command(_cmd_apery, needs_n=True),
+    "pseudo-frobenius": _Command(_cmd_pseudo_frobenius),
+    "factorizations": _Command(_cmd_factorizations, needs_n=True),
+    "factorizations-up-to": _Command(_cmd_factorizations_up_to, needs_n=True, streams=True),
+    "lengths": _Command(_cmd_lengths, needs_n=True),
+    "delta": _Command(_cmd_delta, needs_n=True),
+    "delta-set": _Command(_cmd_delta_set),
+    "delta-periodicity": _Command(_cmd_delta_periodicity),
+    "omega": _Command(_cmd_omega, needs_n=True),
+    "omega-up-to": _Command(_cmd_omega_up_to, needs_n=True, streams=True),
+    "bullets": _Command(_cmd_bullets, needs_n=True),
+    "quasilinear": _Command(_cmd_quasilinear),
+    "dissonance": _Command(
+        functools.partial(_cmd_quasilinear, keys=("dissonance", "dissonance_in_monoid"))
+    ),
+    "plotdata": _Command(_cmd_plotdata, streams=True),
+    "verify": _Command(_cmd_verify),
+    "bench": _Command(_cmd_bench),
 }
 
 
-def _stream(S, args):
-    """JSON Lines for the big scans: one element per line, no envelope."""
-    if args.command == "factorizations-up-to":
-        for m, Z in factorizations_up_to(S, args.n):
-            vecs = _desc_lex(tuple(int(v) for v in row) for row in Z)
-            print(_dumps({"m": m, "count": len(vecs),
-                          "factorizations": [list(a) for a in vecs]}))
-    elif args.command == "omega-up-to":
-        for m, w in sorted(omega_up_to(S, args.n, domain=args.domain).items()):
-            print(_dumps({"m": m, "omega": w}))
-    elif args.command == "plotdata":
-        horizon = args.horizon if args.horizon is not None else args.n
-        if horizon is None:
-            raise ValueError("plotdata requires --horizon")
-        for row in _plot_rows(S, args.kind, horizon):
-            print(_dumps(list(row)))
+def _render(out, args, S, started):
+    if args.stream:
+        for item in out.items:
+            print(_dumps(item))
+    elif args.format == "json":
+        payload = {k: list(v) if isinstance(v, Iterator) else v for k, v in out.payload.items()}
+        print(_dumps({
+            "command": args.command,
+            "monoid": {"generators": list(S.generators), "frobenius": S.frobenius},
+            "payload": payload,
+            "timing_ms": int((time.perf_counter() - started) * 1000),
+        }))
+    elif args.format == "csv":
+        # the first row runs a sweep's input checks, so a refused input
+        # prints no header
+        rows = iter(out.rows)
+        first = next(rows, None)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(out.header)
+        if first is not None:
+            writer.writerow(first)
+        writer.writerows(rows)
     else:
-        raise ValueError(f"--stream is not supported for {args.command}")
-    return 0
+        for line in out.lines:
+            print(line)
 
 
 def main(argv=None):
@@ -438,7 +392,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
-    if args.command in _NEEDS_N and args.n is None:
+    command = COMMANDS[args.command]
+    if command.needs_n and args.n is None:
         parser.print_usage(sys.stderr)
         print(f"numfac {args.command}: error: --n is required", file=sys.stderr)
         return 1
@@ -446,9 +401,10 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         S = NumericalMonoid(_parse_gens(args.gens, parser))
-        if args.stream:
-            return _stream(S, args)
-        payload, header, rows, plain = _HANDLERS[args.command](S, args)
+        if args.stream and not command.streams:
+            raise ValueError(f"--stream is not supported for {args.command}")
+        out = command.run(S, args)
+        _render(out, args, S, started)
     except MonoidInputError as exc:
         print(f"numfac: invalid monoid: {exc}", file=sys.stderr)
         return 2
@@ -463,29 +419,7 @@ def main(argv=None):
             return exc.code or 0
         print(f"numfac: {exc}", file=sys.stderr)
         return 1
-    timing_ms = int((time.perf_counter() - started) * 1000)
-
-    if args.format == "json":
-        envelope = {
-            "command": args.command,
-            "monoid": {"generators": list(S.generators), "frobenius": S.frobenius},
-            "payload": payload,
-            "timing_ms": timing_ms,
-        }
-        print(_dumps(envelope))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    else:
-        for line in plain:
-            print(line)
-
-    if args.command == "verify" and not payload["ok"]:
-        return 1
-    if args.command == "bench" and not payload["dynamic_faster"]:
-        return 1
-    return 0
+    return 0 if out.ok else 1
 
 
 if __name__ == "__main__":

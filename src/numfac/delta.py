@@ -70,11 +70,13 @@ def delta_scan_bound(monoid: NumericalMonoid):
     )
 
 
-def _mask_gaps(mask):
-    """Delta set of a length-set bitmask, as a numpy array."""
-    if mask & (mask - 1) == 0:
-        return None  # fewer than two lengths
-    return np.unique(np.diff(_mask_to_lengths(mask)))
+def _deltas_up_to(monoid, n):
+    """Yield (m, Delta(m)) for monoid elements m in [0, n], Delta(m) a sorted tuple."""
+    for m, mask in _length_masks_up_to(monoid, n):
+        if mask & (mask - 1) == 0:  # fewer than two lengths
+            yield m, ()
+        else:
+            yield m, tuple(np.unique(np.diff(_mask_to_lengths(mask))).tolist())
 
 
 def delta_set(monoid: NumericalMonoid, bound_override=None):
@@ -93,10 +95,8 @@ def delta_set(monoid: NumericalMonoid, bound_override=None):
             _checked_target(bound_override) + monoid.period_hint, "scan limit"
         )
     gaps = set()
-    for m, mask in _length_masks_up_to(monoid, limit):
-        g = _mask_gaps(mask)
-        if g is not None:
-            gaps.update(int(v) for v in g)
+    for _, d in _deltas_up_to(monoid, limit):
+        gaps.update(d)
     return tuple(sorted(gaps))
 
 
@@ -129,9 +129,8 @@ def delta_periodicity(monoid: NumericalMonoid, horizon):
         raise HorizonTooSmall(f"horizon {horizon} < lcm + nk = {lcm + nk}")
 
     deltas = [None] * (horizon + 1)  # None marks gaps of the monoid
-    for m, mask in _length_masks_up_to(monoid, horizon):
-        g = _mask_gaps(mask)
-        deltas[m] = () if g is None else tuple(int(v) for v in g)
+    for m, d in _deltas_up_to(monoid, horizon):
+        deltas[m] = d
 
     def agrees(m, p):
         if deltas[m] is None:

@@ -107,13 +107,14 @@ def _grid_budget(budget):
 
 
 @lru_cache(maxsize=64)
-def _combo_grid(gens, budget):
-    """All exponent vectors over `gens` with value <= budget.
+def _sorted_grid(gens, budget):
+    """All exponent vectors over `gens` with value <= budget, ordered by value.
 
     Returns (rows, values): rows is an int64 array with one column per
-    generator (in the given order), values its dot product with gens.
-    Built by extending with the largest generator first to keep the
-    intermediate row counts small.
+    generator (in the given order), values its dot product with gens,
+    ascending, so exact values are slice lookups.  Built by extending
+    with the largest generator first to keep the intermediate row
+    counts small.
     """
     rows = np.zeros((1, 0), dtype=np.int64)
     values = np.zeros(1, dtype=np.int64)
@@ -126,13 +127,6 @@ def _combo_grid(gens, budget):
         counts = np.arange(total) - starts
         rows = np.column_stack([counts, rows[idx]])
         values = values[idx] + counts * g
-    return rows, values
-
-
-@lru_cache(maxsize=64)
-def _sorted_grid(gens, budget):
-    """The combo grid ordered by value, so exact values are slice lookups."""
-    rows, values = _combo_grid(gens, budget)
     order = np.argsort(values, kind="stable")
     return rows[order], values[order]
 

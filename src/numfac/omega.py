@@ -14,7 +14,7 @@ Three independent routes to the same numbers live here:
     pushing every pair of the entries for m - ni through the cover map:
     a pair (v, l) survives unchanged when v - m is in S and otherwise
     becomes (v + ni, l + 1).  Every integer below -F(S) has the constant
-    entry {(0, 0)}, which is what lets the scan start at -F(S).
+    entry {(0, 0)}, which is what lets the scan start at min(-F(S), 0).
   * ``bullets_brute_force`` enumerates exponent vectors directly and
     filters by the two bullet conditions.  Values never exceed
     x + F(S) + nk, which bounds the enumeration.
@@ -56,7 +56,7 @@ __all__ = [
 
 
 def _scan(monoid, n, keep_final_entry=False):
-    """Dynamic-bullet scan over [-F(S), n].
+    """Dynamic-bullet scan over [min(-F(S), 0), n].
 
     Returns (base, values, widest) where values[m - base] = omega(m) and
     widest is the largest number of distinct values any window entry
@@ -67,7 +67,9 @@ def _scan(monoid, n, keep_final_entry=False):
     n = require_i64(n, "target")
     gens = monoid.generators
     nk = gens[-1]
-    base = -monoid.frobenius
+    # F(S) = -1 for the naturals <1>; starting at 0 there keeps every
+    # non-negative target in range
+    base = min(-monoid.frobenius, 0)
     if n < base:
         raise TargetBelowBase(f"scan target {n} is below the base case {base}")
 
@@ -111,8 +113,8 @@ def omega_up_to(monoid: NumericalMonoid, n, domain="monoid"):
     """Map m -> omega(m) for m up to n, via the dynamic-bullet scan.
 
     ``domain="monoid"`` returns entries for the monoid elements of
-    [0, n]; ``domain="quotient"`` returns every integer of [-F(S), n].
-    The target must not lie below -F(S).
+    [0, n]; ``domain="quotient"`` returns every integer of
+    [min(-F(S), 0), n].  The target must not lie below that start.
     """
     if domain not in ("monoid", "quotient"):
         raise ValueError(f"domain must be 'monoid' or 'quotient', got {domain!r}")
@@ -122,7 +124,7 @@ def omega_up_to(monoid: NumericalMonoid, n, domain="monoid"):
     result = {}
     for m in range(0, n + 1):
         if monoid.contains(m):
-            result[m] = int(values[m - base]) if m >= base else 0
+            result[m] = int(values[m - base])
     return result
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delta import _mask_gaps, delta_scan_bound
+from .delta import _deltas_up_to, delta_scan_bound
 from .factorization import (
     _length_masks_up_to,
     _mask_to_lengths,
@@ -152,10 +152,7 @@ def delta_periodic_window(monoid: NumericalMonoid):
     B = delta_scan_bound(monoid)
     lcm = monoid.period_hint
     horizon = B + 2 * lcm
-    deltas = {}
-    for m, mask in _length_masks_up_to(monoid, horizon):
-        g = _mask_gaps(mask)
-        deltas[m] = () if g is None else tuple(int(v) for v in g)
+    deltas = dict(_deltas_up_to(monoid, horizon))
     checked = failures = 0
     for m in range(B, horizon - lcm + 1):
         if not monoid.contains(m):

@@ -153,6 +153,9 @@ class TestVerifyAndBench:
         code, out, _ = run(capsys, "delta-set", "--gens", "1", "--format", "json")
         assert code == 0
         assert json.loads(out)["payload"] == {"delta_set": []}
+        code, out, _ = run(capsys, "verify", "--gens", "1")
+        assert code == 0
+        assert "FAIL" not in out
 
     def test_verify_rejects_bad_monoid(self, capsys):
         assert run(capsys, "verify", "--gens", "4,6")[0] == 2

@@ -172,6 +172,7 @@ class TestOmega:
         assert omega(N, 7) == 7
         assert omega(N, 0) == 0
         assert omega_up_to(N, 5, domain="monoid") == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5}
+        assert omega_up_to(N, 0) == {0: 0}
 
 
 class TestQuasilinearModel:
