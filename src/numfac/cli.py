@@ -13,7 +13,8 @@ the Frobenius number.  ``--stream`` switches the sweep commands
 per line.  All numbers are integers except the
 quasilinear offsets, which are exact fractions rendered as "p/q".
 
-Exit codes: 0 success, 1 usage or precondition error, 2 invalid monoid,
+Exit codes: 0 success, 1 usage or precondition error (or stdout closed
+before the output was complete, as by ``| head``), 2 invalid monoid,
 3 arithmetic overflow, 4 required element not in the monoid.
 """
 
@@ -23,7 +24,9 @@ import argparse
 import csv
 import dataclasses
 import functools
+import itertools
 import json
+import os
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
@@ -264,11 +267,19 @@ def _cmd_plotdata(S, args):
         rows = ((m, d) for m, gaps in _deltas_up_to(S, horizon) for d in gaps)
         header = ["n", "d"]
     else:
-        base, values, _ = _scan(S, horizon)
-        rows = ((m, int(values[m - base]) if m >= base else 0, int(S.contains(m)))
-                for m in range(-S.frobenius - 1, horizon + 1))
+        rows = _omega_rows(S, horizon)
         header = ["n", "omega", "in_monoid"]
     return _table({"kind": args.kind, "rows": rows}, "rows", header, " ")
+
+
+def _omega_rows(S, horizon):
+    """(m, omega(m), m in S) from m = -F(S) - 1 to the horizon, as the scan yields them."""
+    scan = _scan(S, horizon)
+    first = next(scan)  # checks the horizon before any row is out
+    if S.frobenius >= 0:  # the scan starts at -F(S); omega(-F(S) - 1) = 0
+        yield -S.frobenius - 1, 0, 0
+    for m, (_, lengths) in itertools.chain([first], scan):
+        yield m, int(lengths.max()), int(S.contains(m))
 
 
 def _cmd_verify(S, args):
@@ -304,7 +315,8 @@ def _cmd_bench(S, args):
     naive_z = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    _scan(S, n)
+    for _ in _scan(S, n):
+        pass
     dyn_w = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -405,6 +417,11 @@ def main(argv=None):
             raise ValueError(f"--stream is not supported for {args.command}")
         out = command.run(S, args)
         _render(out, args, S, started)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early (``| head``): the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except MonoidInputError as exc:
         print(f"numfac: invalid monoid: {exc}", file=sys.stderr)
         return 2

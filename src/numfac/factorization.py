@@ -11,16 +11,19 @@ makes the union disjoint, so each vector is produced exactly once:
 
 Length sets satisfy the same recurrence with "append e_i" replaced by
 "+1", which is why they can be scanned without ever materializing a
-factorization.  Both scans keep only the last nk results in a ring
-buffer, so memory stays proportional to the window, not to the target.
+factorization.  One ring-buffer loop, ``_window_scan``, drives both:
+it keeps only the last nk results, so memory stays proportional to the
+window, not to the target, and each scan is just its combine step.
 
 Length sets are stored internally as integer bitmasks (bit l set iff l
 is an attainable length); shifting a mask left by one adds 1 to every
-length, and union is bitwise or.
+length, and union is bitwise or.  The longest factorization M(m) is
+the top bit of that mask, so it needs no scan of its own.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 
 import numpy as np
@@ -45,6 +48,55 @@ def _checked_target(n):
     return n
 
 
+def _window_scan(monoid, n, identity, step):
+    """Yield (m, entry) for every monoid element m in [0, n], ascending.
+
+    The entry of 0 is ``identity``; the entry of any other m is
+    ``step(preds)``, where preds[i] is the entry of m - ni, or None when
+    m - ni is not in the monoid (at least one is not None).  Only the
+    last nk entries are kept.
+    """
+    n = _checked_target(n)
+    gens = monoid.generators
+    nk = gens[-1]
+    contains = monoid.contains
+    # past F(S) + nk every m - ni lies in the monoid
+    full = monoid.frobenius + nk
+    window = [None] * nk
+    for m in range(n + 1):
+        if not contains(m):
+            continue
+        if m == 0:
+            entry = identity
+        else:
+            entry = step([window[(m - g) % nk] if m > full or m >= g and contains(m - g)
+                          else None for g in gens])
+        window[m % nk] = entry
+        yield m, entry
+
+
+def _final(scan):
+    """The entry of the last element of a scan."""
+    return deque(scan, maxlen=1)[0][1]
+
+
+def _extend(preds):
+    # a + e_i for the a in Z(m - ni) that vanish below index i
+    parts = []
+    for i, P in enumerate(preds):
+        if P is None:
+            continue
+        if i:
+            P = P[(P[:, :i] == 0).all(axis=1)]
+        if len(P):
+            P = P.copy()
+            P[:, i] += 1
+            parts.append(P)
+    Z = np.vstack(parts) if len(parts) > 1 else parts[0]
+    Z.setflags(write=False)
+    return Z
+
+
 def factorizations_up_to(monoid: NumericalMonoid, n):
     """Yield (m, Z(m)) for every monoid element m in [0, n], ascending.
 
@@ -55,38 +107,11 @@ def factorizations_up_to(monoid: NumericalMonoid, n):
     so iterating without keeping references streams in bounded memory.
     """
     n = _checked_target(n)
-    gens = monoid.generators
-    k = len(gens)
-    nk = gens[-1]
-    contains = monoid.contains
-    dtype = np.int32 if n // gens[0] < 2**31 - 1 else np.int64
-
-    window = [None] * nk
-    zero = np.zeros((1, k), dtype=dtype)
+    # no exponent exceeds n // n1
+    dtype = np.int32 if n // monoid.generators[0] < 2**31 - 1 else np.int64
+    zero = np.zeros((1, monoid.k), dtype=dtype)
     zero.setflags(write=False)
-    for m in range(n + 1):
-        if not contains(m):
-            window[m % nk] = None
-            continue
-        if m == 0:
-            Z = zero
-        else:
-            parts = []
-            for i in range(k):
-                prev = m - gens[i]
-                if prev < 0 or not contains(prev):
-                    continue
-                P = window[prev % nk]
-                if i:
-                    P = P[(P[:, :i] == 0).all(axis=1)]
-                if len(P):
-                    ext = P.copy()
-                    ext[:, i] += 1
-                    parts.append(ext)
-            Z = np.vstack(parts) if len(parts) > 1 else parts[0]
-            Z.setflags(write=False)
-        window[m % nk] = Z
-        yield m, Z
+    yield from _window_scan(monoid, n, zero, _extend)
 
 
 def factorizations(monoid: NumericalMonoid, n):
@@ -94,11 +119,7 @@ def factorizations(monoid: NumericalMonoid, n):
     n = _checked_target(n)
     if not monoid.contains(n):
         return set()
-    result = None
-    for m, Z in factorizations_up_to(monoid, n):
-        if m == n:
-            result = Z
-    return {tuple(int(v) for v in row) for row in result}
+    return set(map(tuple, _final(factorizations_up_to(monoid, n)).tolist()))
 
 
 def _grid_budget(budget):
@@ -160,26 +181,18 @@ def brute_force_factorizations(monoid: NumericalMonoid, n, support=None):
     return result
 
 
+def _length_step(preds):
+    # L(m) is the union of L(m - ni) + 1
+    mask = 0
+    for prev in preds:
+        if prev:
+            mask |= prev
+    return mask << 1
+
+
 def _length_masks_up_to(monoid, n):
     """Yield (m, bitmask of L(m)) for monoid elements m in [0, n]."""
-    gens = monoid.generators
-    nk = gens[-1]
-    contains = monoid.contains
-    window = [0] * nk
-    for m in range(n + 1):
-        if not contains(m):
-            window[m % nk] = 0
-            continue
-        if m == 0:
-            mask = 1
-        else:
-            mask = 0
-            for g in gens:
-                prev = m - g
-                if prev >= 0 and contains(prev):
-                    mask |= window[prev % nk] << 1
-        window[m % nk] = mask
-        yield m, mask
+    yield from _window_scan(monoid, n, 1, _length_step)
 
 
 def _mask_to_lengths(mask):
@@ -198,7 +211,6 @@ def length_sets_up_to(monoid: NumericalMonoid, n):
     L(m) arrives as a sorted numpy int array.  Memory stays bounded by
     the nk-deep ring buffer; factorizations are never materialized.
     """
-    n = _checked_target(n)
     for m, mask in _length_masks_up_to(monoid, n):
         yield m, _mask_to_lengths(mask)
 
@@ -208,11 +220,7 @@ def length_set(monoid: NumericalMonoid, n):
     n = _checked_target(n)
     if not monoid.contains(n):
         return ()
-    final = 0
-    for m, mask in _length_masks_up_to(monoid, n):
-        if m == n:
-            final = mask
-    return tuple(int(v) for v in _mask_to_lengths(final))
+    return tuple(_mask_to_lengths(_final(_length_masks_up_to(monoid, n))).tolist())
 
 
 def max_length(monoid: NumericalMonoid, n):
@@ -220,22 +228,4 @@ def max_length(monoid: NumericalMonoid, n):
     n = _checked_target(n)
     if not monoid.contains(n):
         raise NotInMonoid(f"{n} is not an element of {monoid!r}")
-    gens = monoid.generators
-    nk = gens[-1]
-    contains = monoid.contains
-    window = [0] * nk
-    best = 0
-    for m in range(n + 1):
-        if not contains(m):
-            continue
-        top = 0
-        for g in gens:
-            prev = m - g
-            if prev >= 0 and contains(prev):
-                cand = window[prev % nk] + 1
-                if cand > top:
-                    top = cand
-        window[m % nk] = top
-        if m == n:
-            best = top
-    return best
+    return _final(_length_masks_up_to(monoid, n)).bit_length() - 1

@@ -68,30 +68,6 @@ class AperySet:
         return m in self.elements
 
 
-def _minimal_generators(sorted_unique):
-    """Drop generators representable by the smaller kept ones."""
-    kept = []
-    for g in sorted_unique:
-        if kept and _representable(g, kept):
-            continue
-        kept.append(g)
-    return kept
-
-
-def _representable(target, gens):
-    """True if target is a non-negative combination of gens (all <= target)."""
-    reach = bytearray(target + 1)
-    reach[0] = 1
-    for v in range(gens[0], target + 1):
-        for g in gens:
-            if g > v:
-                break
-            if reach[v - g]:
-                reach[v] = 1
-                break
-    return bool(reach[target])
-
-
 def _residue_table(gens):
     """Smallest element of S in each residue class mod gens[0].
 
@@ -152,18 +128,23 @@ class NumericalMonoid:
         ordered = sorted(set(raw))
         if math.gcd(*ordered) != 1:
             raise NonCoprime(f"gcd({', '.join(map(str, ordered))}) > 1")
-        minimal = _minimal_generators(ordered)
+        n1 = ordered[0]
+        if n1 > _RESIDUE_TABLE_LIMIT:
+            raise Int64Overflow(f"smallest generator {n1} exceeds the residue table cap")
+        # redundant inputs do not change S, so neither do they change its table
+        dist = _residue_table(ordered)
+        # g is redundant iff g - h lies in S for some smaller input h
+        minimal = [g for i, g in enumerate(ordered)
+                   if not any(g - h >= dist[(g - h) % n1] for h in ordered[:i])]
 
         self.generators = tuple(minimal)
         self.k = len(minimal)
         self.removed_generators = tuple(g for g in ordered if g not in set(minimal))
 
-        n1, nk = minimal[0], minimal[-1]
+        nk = minimal[-1]
         require_i64(n1 * nk, "generator product")
-        if n1 > _RESIDUE_TABLE_LIMIT:
-            raise Int64Overflow(f"smallest generator {n1} exceeds the residue table cap")
-        self._dist = _residue_table(minimal)
-        self.frobenius = max(self._dist) - n1
+        self._dist = dist
+        self.frobenius = max(dist) - n1
         self.period_hint = math.lcm(n1, nk)
 
         if self.frobenius >= 0:

@@ -15,6 +15,9 @@ Three independent routes to the same numbers live here:
     a pair (v, l) survives unchanged when v - m is in S and otherwise
     becomes (v + ni, l + 1).  Every integer below -F(S) has the constant
     entry {(0, 0)}, which is what lets the scan start at min(-F(S), 0).
+    The scan yields each entry as it goes; omega(m) is its largest
+    length, and ``omega``, ``dynamic_bullets``, ``omega_up_to`` and
+    ``quasilinear_model`` all read what they need off that one stream.
   * ``bullets_brute_force`` enumerates exponent vectors directly and
     filters by the two bullet conditions.  Values never exceed
     x + F(S) + nk, which bounds the enumeration.
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -55,14 +59,12 @@ __all__ = [
 ]
 
 
-def _scan(monoid, n, keep_final_entry=False):
-    """Dynamic-bullet scan over [min(-F(S), 0), n].
+def _scan(monoid, n):
+    """Yield (m, entry) for every integer m in [min(-F(S), 0), n], ascending.
 
-    Returns (base, values, widest) where values[m - base] = omega(m) and
-    widest is the largest number of distinct values any window entry
-    held (a constant for fixed S, which is what makes the scan linear).
-    With ``keep_final_entry`` a fourth element is appended: the window
-    entry (values, lengths) for n itself.
+    The entry is the pair of arrays (values, lengths) of the dynamic
+    bullets of m, sorted by value; omega(m) = lengths.max().  Its size is
+    bounded for fixed S, which is what makes the scan linear.
     """
     n = require_i64(n, "target")
     gens = monoid.generators
@@ -73,21 +75,16 @@ def _scan(monoid, n, keep_final_entry=False):
     if n < base:
         raise TargetBelowBase(f"scan target {n} is below the base case {base}")
 
-    zero_v = np.zeros(1, dtype=np.int64)
-    zero_l = np.zeros(1, dtype=np.int64)
+    zero = np.zeros(1, dtype=np.int64)
     window = [None] * nk
-    values = np.empty(n - base + 1, dtype=np.int64)
-    widest = 1
     contains_array = monoid.contains_array
     for m in range(base, n + 1):
         vparts = []
         lparts = []
         for g in gens:
             prev = m - g
-            if prev < base:
-                pv, pl = zero_v, zero_l
-            else:
-                pv, pl = window[prev % nk]
+            # below the base every entry is {(0, 0)}
+            pv, pl = window[prev % nk] if prev >= base else (zero, zero)
             keep = contains_array(pv - m)
             vparts.append(np.where(keep, pv, pv + g))
             lparts.append(np.where(keep, pl, pl + 1))
@@ -101,12 +98,12 @@ def _scan(monoid, n, keep_final_entry=False):
         last[:-1] = v[1:] != v[:-1]
         entry = (v[last], l[last])
         window[m % nk] = entry
-        values[m - base] = entry[1].max()
-        if len(entry[0]) > widest:
-            widest = len(entry[0])
-    if keep_final_entry:
-        return base, values, widest, window[n % nk]
-    return base, values, widest
+        yield m, entry
+
+
+def _final_entry(monoid, n):
+    # like factorization._final, but local, so a per-module profile counts the scan here
+    return deque(_scan(monoid, n), maxlen=1)[0][1]
 
 
 def omega_up_to(monoid: NumericalMonoid, n, domain="monoid"):
@@ -118,14 +115,9 @@ def omega_up_to(monoid: NumericalMonoid, n, domain="monoid"):
     """
     if domain not in ("monoid", "quotient"):
         raise ValueError(f"domain must be 'monoid' or 'quotient', got {domain!r}")
-    base, values, _ = _scan(monoid, n)
-    if domain == "quotient":
-        return {m: int(values[m - base]) for m in range(base, n + 1)}
-    result = {}
-    for m in range(0, n + 1):
-        if monoid.contains(m):
-            result[m] = int(values[m - base])
-    return result
+    quotient = domain == "quotient"
+    return {m: int(lengths.max()) for m, (_, lengths) in _scan(monoid, n)
+            if quotient or monoid.contains(m)}
 
 
 def omega(monoid: NumericalMonoid, n):
@@ -133,8 +125,7 @@ def omega(monoid: NumericalMonoid, n):
     n = require_i64(n, "target")
     if n < -monoid.frobenius:
         return 0
-    base, values, _ = _scan(monoid, n)
-    return int(values[n - base])
+    return int(_final_entry(monoid, n)[1].max())
 
 
 def dynamic_bullets(monoid: NumericalMonoid, n):
@@ -147,8 +138,8 @@ def dynamic_bullets(monoid: NumericalMonoid, n):
     n = require_i64(n, "target")
     if n < -monoid.frobenius:
         return ((0, 0),)
-    _, _, _, entry = _scan(monoid, n, keep_final_entry=True)
-    return tuple((int(v), int(l)) for v, l in zip(*entry))
+    values, lengths = _final_entry(monoid, n)
+    return tuple(zip(values.tolist(), lengths.tolist()))
 
 
 def _zero_bullet(monoid):
@@ -250,34 +241,20 @@ def quasilinear_model(monoid: NumericalMonoid):
     F = monoid.frobenius
     threshold = -((F + n2) * n1 // -(n2 - n1))  # ceil of the rational bound
     top = threshold + 2 * n1
-    base, values, _ = _scan(monoid, top)
-
-    def val(m):
-        return int(values[m - base]) if m >= base else 0
-
-    anchors = []
-    offsets = []
-    for r in range(n1):
-        m0 = threshold + 1 + (r - (threshold + 1)) % n1  # in (threshold, threshold + n1]
-        anchors.append((m0, val(m0)))
-        offsets.append(Fraction(val(m0) * n1 - m0, n1))
-
-    dissonance = n1
-    for m in range(top - n1, base - 1, -1):
-        if val(m + n1) != val(m) + 1:
-            dissonance = max(n1, m)
-            break
-    dissonance_in_monoid = n1
-    for m in range(top - n1, -1, -1):
-        if monoid.contains(m) and val(m + n1) != val(m) + 1:
-            dissonance_in_monoid = max(n1, m)
-            break
+    base = min(-F, 0)
+    # omega(m) at index m - base, in an array to keep the peak memory low
+    w = np.fromiter((lengths.max() for _, (_, lengths) in _scan(monoid, top)), dtype=np.int64)
+    # one anchor per residue class mod n1, each in (threshold, threshold + n1]
+    anchors = [(m0, int(w[m0 - base]))
+               for m0 in (threshold + 1 + (r - threshold - 1) % n1 for r in range(n1))]
+    # every m from which stepping forward by n1 does not raise omega by exactly one
+    broken = (np.flatnonzero(w[n1:] != w[:-n1] + 1) + base).tolist()
     return QuasilinearModel(
         n1=n1,
         threshold=threshold,
-        offsets=tuple(offsets),
-        dissonance=dissonance,
-        dissonance_in_monoid=dissonance_in_monoid,
+        offsets=tuple(Fraction(w0 * n1 - m0, n1) for m0, w0 in anchors),
+        dissonance=max([n1, *broken]),
+        dissonance_in_monoid=max([n1, *filter(monoid.contains, broken)]),
         anchors=tuple(anchors),
     )
 

@@ -19,7 +19,6 @@ from .factorization import (
     _mask_to_lengths,
     brute_force_factorizations,
     factorizations_up_to,
-    max_length,
 )
 from .monoid import NumericalMonoid
 from .omega import _scan, bullets_brute_force, bullets_via_apery
@@ -94,12 +93,11 @@ def omega_triple_equivalence(monoid: NumericalMonoid, x_max):
     Sweeps x in [-F(S), x_max]; also verifies that no computed bullet
     set contains one bullet coordinatewise inside another.
     """
-    base, values, _ = _scan(monoid, x_max)
     checked = failures = 0
-    for x in range(base, x_max + 1):
+    for x, (_, lengths) in _scan(monoid, x_max):
         checked += 1
         brute = bullets_brute_force(monoid, x)
-        w_dp = int(values[x - base])
+        w_dp = int(lengths.max())
         w_brute = max(sum(b) for b in brute)
         w_apery = max(sum(b) for b in bullets_via_apery(monoid, x))
         if not (w_dp == w_brute == w_apery):
@@ -112,13 +110,15 @@ def omega_triple_equivalence(monoid: NumericalMonoid, x_max):
 def length_omega_sandwich(monoid: NumericalMonoid, n_max):
     """M(n) <= n / n1 <= omega(n) for monoid elements, compared exactly."""
     n1 = monoid.generators[0]
-    base, values, _ = _scan(monoid, n_max)
+    # M(n) is the top bit of the length mask of n
+    longest = {m: mask.bit_length() - 1
+               for m, mask in _length_masks_up_to(monoid, max(n_max, 0))}
     checked = failures = 0
-    for n in range(1, n_max + 1):
-        if not monoid.contains(n):
+    for n, (_, lengths) in _scan(monoid, n_max):
+        if n < 1 or n not in longest:
             continue
         checked += 1
-        if not max_length(monoid, n) * n1 <= n <= int(values[n - base]) * n1:
+        if not longest[n] * n1 <= n <= int(lengths.max()) * n1:
             failures += 1
     return PropertyResult("M(n) <= n/n1 <= omega(n)", checked, failures)
 
@@ -131,11 +131,11 @@ def omega_zero_one(monoid: NumericalMonoid, pad=50):
     """
     F = monoid.frobenius
     pf = set(monoid.pseudo_frobenius())
-    base, values, _ = _scan(monoid, 0)
+    scanned = {x: int(lengths.max()) for x, (_, lengths) in _scan(monoid, 0)}
     checked = failures = 0
     for x in range(-F - pad, 1):
         checked += 1
-        w = int(values[x - base]) if x >= base else 0
+        w = scanned.get(x, 0)
         if (w == 0) != monoid.contains(-x):
             failures += 1
         if (w == 1) != (-x in pf):
@@ -169,7 +169,7 @@ def bullet_window_bound(monoid: NumericalMonoid, n_max):
     The bound is the size of the union of the generators' Apery sets,
     itself at most the sum of the generators.
     """
-    _, _, widest = _scan(monoid, n_max)
+    widest = max(len(values) for _, (values, _) in _scan(monoid, n_max))
     union = set()
     for g in monoid.generators:
         union.update(monoid.apery_set(g).elements)

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numfac
 from numfac.cli import main
 
 
@@ -170,3 +175,26 @@ class TestVerifyAndBench:
             "omega dynamic", "omega naive",
         }
         assert payload["dynamic_faster"] is True
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_exits_1_without_traceback(self):
+        # the reader takes one line and closes the pipe, as ``| head -1`` does
+        src = str(Path(numfac.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "numfac", "factorizations-up-to", "--gens", "6,9,20",
+             "--n", "3000", "--stream"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert proc.stdout.readline().startswith(b'{"count":1,')
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 1
+        finally:
+            proc.kill()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert b"Traceback" not in err
+        assert b"BrokenPipeError" not in err

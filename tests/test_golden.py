@@ -52,8 +52,13 @@ FAILURES = {
     "exit1-negative-target-csv": ["factorizations-up-to", "--gens", "6,9,20", "--n", "-1",
                                   "--format", "csv"],
     "exit1-plotdata-no-horizon": ["plotdata", "delta", "--gens", "6,9,20", "--format", "csv"],
+    "exit1-plotdata-delta-negative-horizon-csv": ["plotdata", "delta", "--gens", "6,9,20",
+                                                  "--horizon", "-5", "--format", "csv"],
     "exit2-invalid-monoid": ["info", "--gens", "4,6"],
     "exit3-overflow": ["omega", "--gens", "6,9,20", "--n", "99999999999999999999"],
+    "exit3-plotdata-delta-horizon-overflow-csv": ["plotdata", "delta", "--gens", "6,9,20",
+                                                  "--horizon", "99999999999999999999",
+                                                  "--format", "csv"],
     "exit4-not-in-monoid": ["apery", "--gens", "6,9,20", "--n", "7"],
 }
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from numfac import (
@@ -33,6 +35,19 @@ class TestConstruction:
         S = NumericalMonoid([6, 9, 15, 20])
         assert S.generators == (6, 9, 20)
         assert S.removed_generators == (15,)
+
+    def test_huge_redundant_generator_allocates_nothing_in_proportion(self):
+        # minimality comes from the residue table, so a redundant
+        # generator costs nothing in proportion to its size
+        tracemalloc.start()
+        try:
+            S = NumericalMonoid([6, 7, 4_000_001])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert S.generators == (6, 7)
+        assert S.removed_generators == (4_000_001,)
+        assert peak < 1_000_000
 
     def test_input_order_and_duplicates_ignored(self):
         assert NumericalMonoid([20, 9, 6, 9]).generators == (6, 9, 20)

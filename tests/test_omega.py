@@ -199,6 +199,18 @@ class TestQuasilinearModel:
         for n in range(model.threshold + 1, model.threshold + 2 * S.generators[0] + 1):
             assert values[n] == values[n - S.generators[0]] + 1
 
+    @pytest.mark.parametrize("gens", [(6, 9, 20), (10, 12, 15), (2, 17, 23), (15, 27, 32, 35)])
+    def test_dissonance_matches_its_definition(self, gens):
+        # the largest m, floored at n1, with omega(m + n1) != omega(m) + 1
+        S = NumericalMonoid(gens)
+        model = quasilinear_model(S)
+        n1 = model.n1
+        top = model.threshold + 2 * n1
+        w = omega_up_to(S, top, domain="quotient")
+        broken = [m for m in w if m + n1 <= top and w[m + n1] != w[m] + 1]
+        assert model.dissonance == max([n1] + broken)
+        assert model.dissonance_in_monoid == max([n1] + [m for m in broken if S.contains(m)])
+
     def test_extrapolation_agrees_with_direct(self):
         S = NumericalMonoid([11, 13, 15])
         model = quasilinear_model(S)

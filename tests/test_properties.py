@@ -84,6 +84,7 @@ def test_length_set_is_factorization_lengths(gens):
     for m in range(limit + 1):
         if S.contains(m):
             assert set(length_set(S, m)) == {sum(a) for a in factorizations(S, m)}
+            assert max_length(S, m) == max(sum(a) for a in factorizations(S, m))
 
 
 @given(lengths_strategy)
