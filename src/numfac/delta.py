@@ -13,16 +13,27 @@ pass it as ``bound_override``; the scan then covers (0, N + lcm(n1, nk)].
 
 ``delta_periodicity`` measures where the eventual periodic behavior
 actually begins, which is usually far below the proven bound.
+
+Delta(m) is read straight off the length mask of m (bit l set iff l is
+a factorization length).  ``pending`` holds the set bits whose next set
+bit is not yet found, at first every bit but the top one.  At distance
+d, ``pending & (mask >> d)`` is the set of bits whose next set bit lies d
+above: d is a gap, and those bits leave ``pending``.  The loop stops when
+``pending`` is empty, after max Delta(m) / step steps of a few big-int
+operations each.  The step is d_min = gcd(n2 - n1, ..., nk - nk-1):
+two factorizations a, b of m satisfy sum (ai - bi) n1 =
+-sum (ai - bi)(ni - n1), and n1 is prime to d_min, so their lengths
+differ by a multiple of d_min and no distance in between can be a gap.
+(d_min is also min Delta(S); Bowles, Chapman, Kaplan and Reiser, 2006.)
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import HorizonTooSmall
-from .factorization import _checked_target, _length_masks_up_to, _mask_to_lengths
+from .factorization import _checked_target, _length_masks_up_to
 from .monoid import NumericalMonoid, require_i64
 
 __all__ = [
@@ -70,13 +81,27 @@ def delta_scan_bound(monoid: NumericalMonoid):
     )
 
 
+def _mask_gaps(mask, step):
+    """Sorted gaps between consecutive set bits of ``mask``, all multiples of ``step``."""
+    gaps = []
+    pending = mask ^ (1 << (mask.bit_length() - 1))
+    d = step
+    while pending:
+        hit = pending & (mask >> d)
+        if hit:
+            gaps.append(d)
+            pending ^= hit
+        d += step
+    return tuple(gaps)
+
+
 def _deltas_up_to(monoid, n):
     """Yield (m, Delta(m)) for monoid elements m in [0, n], Delta(m) a sorted tuple."""
+    gens = monoid.generators
+    # 0 for <1>, whose masks all hold a single bit, so no step is taken
+    step = math.gcd(*(b - a for a, b in zip(gens, gens[1:])))
     for m, mask in _length_masks_up_to(monoid, n):
-        if mask & (mask - 1) == 0:  # fewer than two lengths
-            yield m, ()
-        else:
-            yield m, tuple(np.unique(np.diff(_mask_to_lengths(mask))).tolist())
+        yield m, _mask_gaps(mask, step)
 
 
 def delta_set(monoid: NumericalMonoid, bound_override=None):
@@ -86,8 +111,6 @@ def delta_set(monoid: NumericalMonoid, bound_override=None):
     :func:`delta_scan_bound`.  With ``bound_override=N`` (a known
     periodicity-start bound) it runs to N + lcm(n1, nk).
     """
-    if monoid.generators == (1,):
-        return ()
     if bound_override is None:
         limit = delta_scan_bound(monoid)
     else:

@@ -7,7 +7,9 @@ from numfac import (
     delta_periodicity,
     delta_scan_bound,
     delta_set,
+    length_sets_up_to,
 )
+from numfac.delta import _deltas_up_to
 
 MCNUGGET = NumericalMonoid([6, 9, 20])
 
@@ -43,6 +45,13 @@ class TestDeltaSet:
 
     def test_naturals_have_empty_delta_set(self):
         assert delta_set(NumericalMonoid([1])) == ()
+
+    def test_steps_of_d_min_match_length_sets(self):
+        # arithmetic generators 100 + 21i: d_min = 21 and Delta(S) = {21}
+        S = NumericalMonoid([100, 121, 142, 163])
+        deltas = dict(_deltas_up_to(S, 20000))
+        assert deltas == {m: delta_of_lengths(ls) for m, ls in length_sets_up_to(S, 20000)}
+        assert set().union(*deltas.values()) == {21}
 
     def test_two_generators_single_gap(self):
         # L(m) for <2,3> steps by 1, so the only gap is 1

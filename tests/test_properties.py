@@ -2,18 +2,22 @@
 
 import math
 
-from hypothesis import assume, given, settings, strategies as st
+import numpy as np
+from hypothesis import assume, example, given, settings, strategies as st
 
 from numfac import (
     NumericalMonoid,
     brute_force_factorizations,
     delta_of_lengths,
+    delta_set,
     factorizations,
     factorizations_up_to,
     length_set,
     max_length,
     omega,
 )
+from numfac.delta import _deltas_up_to, _mask_gaps
+from numfac.factorization import _mask_to_lengths
 
 # small coprime generating sets keep the brute-force oracles fast
 gen_sets = st.lists(st.integers(2, 30), min_size=2, max_size=4).filter(
@@ -93,6 +97,37 @@ def test_delta_of_lengths_matches_manual_diffs(raw):
     ls = sorted(raw)
     expected = sorted({b - a for a, b in zip(ls, ls[1:])})
     assert list(delta_of_lengths(ls)) == expected
+
+
+@given(st.integers(1, 2**400))
+@example(2**399)  # one length: no gaps
+@settings(max_examples=200)
+def test_mask_gaps_match_unpackbits_oracle(mask):
+    expected = tuple(np.unique(np.diff(_mask_to_lengths(mask))).tolist())
+    assert _mask_gaps(mask, 1) == expected
+
+
+@given(gen_sets)
+@example([5, 7, 9])  # d_min = 2, so the gap test steps by 2
+@settings(max_examples=30, deadline=None)
+def test_element_deltas_match_length_sets(gens):
+    S = NumericalMonoid(gens)
+    limit = min(2 * S.frobenius + 20, 120)
+    deltas = dict(_deltas_up_to(S, limit))
+    for m in range(limit + 1):
+        if S.contains(m):
+            assert deltas[m] == delta_of_lengths(length_set(S, m))
+
+
+@given(st.lists(st.integers(2, 20), min_size=2, max_size=4).filter(
+    lambda gs: math.gcd(*gs) == 1
+))
+@settings(max_examples=40, deadline=None)
+def test_min_delta_is_gcd_of_generator_differences(gens):
+    # Bowles, Chapman, Kaplan and Reiser (2006): min Delta(S) = d_min
+    S = NumericalMonoid(gens)
+    g = S.generators
+    assert delta_set(S)[0] == math.gcd(*(b - a for a, b in zip(g, g[1:])))
 
 
 @given(gen_sets, st.integers(0, 120))
