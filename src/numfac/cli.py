@@ -44,12 +44,12 @@ from .factorization import (
 )
 from .monoid import NumericalMonoid
 from .omega import (
+    _omegas,
     _scan,
     bullets_brute_force,
     bullets_via_apery,
     dynamic_bullets,
     omega,
-    omega_up_to,
     quasilinear_model,
 )
 from .verify import run_suite
@@ -226,7 +226,7 @@ def _cmd_omega(S, args):
 
 
 def _cmd_omega_up_to(S, args):
-    pairs = sorted(omega_up_to(S, args.n, domain=args.domain).items())
+    pairs = _omegas(S, args.n, args.domain)
     out = _table({"values": pairs}, "values", ["n", "omega"], " ")
     return out._replace(items=({"m": m, "omega": w} for m, w in pairs))
 
@@ -274,12 +274,12 @@ def _cmd_plotdata(S, args):
 
 def _omega_rows(S, horizon):
     """(m, omega(m), m in S) from m = -F(S) - 1 to the horizon, as the scan yields them."""
-    scan = _scan(S, horizon)
-    first = next(scan)  # checks the horizon before any row is out
+    omegas = _omegas(S, horizon, "quotient")
+    first = next(omegas)  # checks the horizon before any row is out
     if S.frobenius >= 0:  # the scan starts at -F(S); omega(-F(S) - 1) = 0
         yield -S.frobenius - 1, 0, 0
-    for m, (_, lengths) in itertools.chain([first], scan):
-        yield m, int(lengths.max()), int(S.contains(m))
+    for m, w in itertools.chain([first], omegas):
+        yield m, w, int(S.contains(m))
 
 
 def _cmd_verify(S, args):

@@ -36,9 +36,9 @@ from .errors import (
 
 I64_MAX = 2**63 - 1
 
-# Resource guards: the residue table has n1 entries and the membership
-# bit table has F(S)+1 entries.  Both raise Int64Overflow beyond these
-# caps rather than silently exhausting memory.
+# Resource guards: the residue table has n1 entries and a membership table
+# F(S)+1 entries (F(S)+b+1 for an Apery set of base b).  Both raise
+# Int64Overflow beyond these caps rather than silently exhausting memory.
 _RESIDUE_TABLE_LIMIT = 50_000_000
 _MEMBER_TABLE_LIMIT = 500_000_000
 
@@ -198,11 +198,12 @@ class NumericalMonoid:
             raise NonPositiveBase(f"Apery base must be positive, got {base}")
         if not self.contains(base):
             raise NotInMonoid(f"{base} is not an element of {self!r}")
-        m = np.arange(self.frobenius + base + 1, dtype=np.int64)
-        members = self.contains_array(m)
-        shifted = self.contains_array(m - base)
-        elements = m[members & ~shifted]
-        return AperySet(base=base, elements=tuple(int(v) for v in elements))
+        if self.frobenius + base + 1 > _MEMBER_TABLE_LIMIT:
+            raise Int64Overflow(f"Apery base {base} exceeds the membership table cap")
+        # m in [0, F(S) + base] is in the Apery set iff m is in S and m - base is not
+        member = np.concatenate((self._table, np.ones(base, dtype=bool)))
+        outside = np.concatenate((np.ones(base, dtype=bool), ~member[:-base]))
+        return AperySet(base=base, elements=tuple(np.flatnonzero(member & outside).tolist()))
 
     def apery_intersection(self, subset):
         """Intersection of the Apery sets of the given generators, sorted."""

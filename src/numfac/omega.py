@@ -13,11 +13,11 @@ Three independent routes to the same numbers live here:
     one pair per value, the longest).  The entry for m is obtained by
     pushing every pair of the entries for m - ni through the cover map:
     a pair (v, l) survives unchanged when v - m is in S and otherwise
-    becomes (v + ni, l + 1).  Every integer below -F(S) has the constant
-    entry {(0, 0)}, which is what lets the scan start at min(-F(S), 0).
-    The scan yields each entry as it goes; omega(m) is its largest
-    length, and ``omega``, ``dynamic_bullets``, ``omega_up_to`` and
-    ``quasilinear_model`` all read what they need off that one stream.
+    becomes (v + ni, l + 1), all k entries in one vectorized step.  Every
+    integer below -F(S) has the constant entry {(0, 0)}, which lets the
+    scan start at min(-F(S), 0).  The scan yields each entry as it goes;
+    omega(m) is its largest length, and ``omega``, ``dynamic_bullets``,
+    ``omega_up_to`` and ``quasilinear_model`` all read it off that stream.
   * ``bullets_brute_force`` enumerates exponent vectors directly and
     filters by the two bullet conditions.  Values never exceed
     x + F(S) + nk, which bounds the enumeration.
@@ -65,6 +65,12 @@ def _scan(monoid, n):
     The entry is the pair of arrays (values, lengths) of the dynamic
     bullets of m, sorted by value; omega(m) = lengths.max().  Its size is
     bounded for fixed S, which is what makes the scan linear.
+
+    One step covers all k generators at once: the entries at m - ni are
+    concatenated, one gather from a byte table over the offsets v - m in
+    [-nk, F(S) + nk] marks the pairs that move by (ni, 1), ni taken from
+    ``np.repeat`` of the generators, and a lexsort keeps the longest pair
+    per value.
     """
     n = require_i64(n, "target")
     gens = monoid.generators
@@ -75,21 +81,19 @@ def _scan(monoid, n):
     if n < base:
         raise TargetBelowBase(f"scan target {n} is below the base case {base}")
 
+    # gap[y + nk] is True iff the offset y in [-nk, F(S) + nk] lies outside S
+    gap = np.concatenate((np.ones(nk, dtype=bool), ~monoid._table, np.zeros(nk, dtype=bool)))
+    steps = np.array(gens, dtype=np.int64)
     zero = np.zeros(1, dtype=np.int64)
-    window = [None] * nk
-    contains_array = monoid.contains_array
+    # every entry below the base is {(0, 0)}: its slot is still unwritten when read
+    window = [(zero, zero)] * nk
     for m in range(base, n + 1):
-        vparts = []
-        lparts = []
-        for g in gens:
-            prev = m - g
-            # below the base every entry is {(0, 0)}
-            pv, pl = window[prev % nk] if prev >= base else (zero, zero)
-            keep = contains_array(pv - m)
-            vparts.append(np.where(keep, pv, pv + g))
-            lparts.append(np.where(keep, pl, pl + 1))
-        v = np.concatenate(vparts)
-        l = np.concatenate(lparts)
+        vs, ls = zip(*[window[(m - g) % nk] for g in gens])
+        v = np.concatenate(vs)
+        l = np.concatenate(ls)
+        moved = gap[v - (m - nk)]
+        v += np.repeat(steps, [len(p) for p in vs]) * moved
+        l += moved
         order = np.lexsort((l, v))
         v = v[order]
         l = l[order]
@@ -101,9 +105,13 @@ def _scan(monoid, n):
         yield m, entry
 
 
-def _final_entry(monoid, n):
-    # like factorization._final, but local, so a per-module profile counts the scan here
-    return deque(_scan(monoid, n), maxlen=1)[0][1]
+def _omegas(monoid, n, domain):
+    """Yield (m, omega(m)) over the domain of ``omega_up_to``, ascending."""
+    if domain not in ("monoid", "quotient"):
+        raise ValueError(f"domain must be 'monoid' or 'quotient', got {domain!r}")
+    for m, (_, lengths) in _scan(monoid, n):
+        if domain == "quotient" or monoid.contains(m):
+            yield m, int(lengths.max())
 
 
 def omega_up_to(monoid: NumericalMonoid, n, domain="monoid"):
@@ -113,19 +121,12 @@ def omega_up_to(monoid: NumericalMonoid, n, domain="monoid"):
     [0, n]; ``domain="quotient"`` returns every integer of
     [min(-F(S), 0), n].  The target must not lie below that start.
     """
-    if domain not in ("monoid", "quotient"):
-        raise ValueError(f"domain must be 'monoid' or 'quotient', got {domain!r}")
-    quotient = domain == "quotient"
-    return {m: int(lengths.max()) for m, (_, lengths) in _scan(monoid, n)
-            if quotient or monoid.contains(m)}
+    return dict(_omegas(monoid, n, domain))
 
 
 def omega(monoid: NumericalMonoid, n):
     """omega(n) for a single integer n (0 whenever -n is in the monoid)."""
-    n = require_i64(n, "target")
-    if n < -monoid.frobenius:
-        return 0
-    return int(_final_entry(monoid, n)[1].max())
+    return max(length for _, length in dynamic_bullets(monoid, n))
 
 
 def dynamic_bullets(monoid: NumericalMonoid, n):
@@ -138,7 +139,8 @@ def dynamic_bullets(monoid: NumericalMonoid, n):
     n = require_i64(n, "target")
     if n < -monoid.frobenius:
         return ((0, 0),)
-    values, lengths = _final_entry(monoid, n)
+    # the scan's last entry, read here so a per-module profile counts the scan in omega
+    values, lengths = deque(_scan(monoid, n), maxlen=1)[0][1]
     return tuple(zip(values.tolist(), lengths.tolist()))
 
 
@@ -243,7 +245,7 @@ def quasilinear_model(monoid: NumericalMonoid):
     top = threshold + 2 * n1
     base = min(-F, 0)
     # omega(m) at index m - base, in an array to keep the peak memory low
-    w = np.fromiter((lengths.max() for _, (_, lengths) in _scan(monoid, top)), dtype=np.int64)
+    w = np.fromiter((v for _, v in _omegas(monoid, top, "quotient")), dtype=np.int64)
     # one anchor per residue class mod n1, each in (threshold, threshold + n1]
     anchors = [(m0, int(w[m0 - base]))
                for m0 in (threshold + 1 + (r - threshold - 1) % n1 for r in range(n1))]

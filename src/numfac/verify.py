@@ -21,7 +21,7 @@ from .factorization import (
     factorizations_up_to,
 )
 from .monoid import NumericalMonoid
-from .omega import _scan, bullets_brute_force, bullets_via_apery
+from .omega import _omegas, _scan, bullets_brute_force, bullets_via_apery
 
 __all__ = ["PropertyResult", "run_suite"] + [
     "factorization_oracle",
@@ -94,10 +94,9 @@ def omega_triple_equivalence(monoid: NumericalMonoid, x_max):
     set contains one bullet coordinatewise inside another.
     """
     checked = failures = 0
-    for x, (_, lengths) in _scan(monoid, x_max):
+    for x, w_dp in _omegas(monoid, x_max, "quotient"):
         checked += 1
         brute = bullets_brute_force(monoid, x)
-        w_dp = int(lengths.max())
         w_brute = max(sum(b) for b in brute)
         w_apery = max(sum(b) for b in bullets_via_apery(monoid, x))
         if not (w_dp == w_brute == w_apery):
@@ -114,11 +113,11 @@ def length_omega_sandwich(monoid: NumericalMonoid, n_max):
     longest = {m: mask.bit_length() - 1
                for m, mask in _length_masks_up_to(monoid, max(n_max, 0))}
     checked = failures = 0
-    for n, (_, lengths) in _scan(monoid, n_max):
-        if n < 1 or n not in longest:
+    for n, w in _omegas(monoid, n_max, "monoid"):
+        if n < 1:
             continue
         checked += 1
-        if not longest[n] * n1 <= n <= int(lengths.max()) * n1:
+        if not longest[n] * n1 <= n <= w * n1:
             failures += 1
     return PropertyResult("M(n) <= n/n1 <= omega(n)", checked, failures)
 
@@ -131,7 +130,7 @@ def omega_zero_one(monoid: NumericalMonoid, pad=50):
     """
     F = monoid.frobenius
     pf = set(monoid.pseudo_frobenius())
-    scanned = {x: int(lengths.max()) for x, (_, lengths) in _scan(monoid, 0)}
+    scanned = dict(_omegas(monoid, 0, "quotient"))
     checked = failures = 0
     for x in range(-F - pad, 1):
         checked += 1
@@ -178,13 +177,12 @@ def bullet_window_bound(monoid: NumericalMonoid, n_max):
     return PropertyResult("dynamic bullet window width bound", checked, failures)
 
 
-def run_suite(monoid: NumericalMonoid, n=200, *, include_delta_window=None):
+def run_suite(monoid: NumericalMonoid, n=200):
     """Run every cross-check at desk scale; returns a list of results.
 
     ``n`` caps the sweeps (factorizations to min(n, 2F+100), omega
     triple equivalence to min(n, 300)).  The delta window check runs
-    only when the proven bound is small, or when forced via
-    ``include_delta_window``.
+    only when the proven bound is at most 50,000.
     """
     F = monoid.frobenius
     z_limit = min(n, 2 * F + 100) if F >= 0 else min(n, 100)
@@ -197,8 +195,6 @@ def run_suite(monoid: NumericalMonoid, n=200, *, include_delta_window=None):
         omega_zero_one(monoid),
         bullet_window_bound(monoid, x_max),
     ]
-    if include_delta_window is None:
-        include_delta_window = delta_scan_bound(monoid) <= 50_000
-    if include_delta_window and monoid.generators != (1,):
+    if delta_scan_bound(monoid) <= 50_000 and monoid.generators != (1,):
         results.append(delta_periodic_window(monoid))
     return results

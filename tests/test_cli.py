@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+
+import pytest
 
 import numfac
 from numfac.cli import main
@@ -12,6 +17,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class _ByteSink(io.TextIOBase):
+    """A text stream that keeps only the number of bytes written to it."""
+
+    nbytes = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.nbytes += len(text.encode())
+        return len(text)
 
 
 class TestBasics:
@@ -117,6 +135,35 @@ class TestStreaming:
                            "--domain", "quotient", "--stream")
         first = json.loads(out.splitlines()[0])
         assert first == {"m": -43, "omega": 1}
+
+
+    def test_omega_stream_runs_in_bounded_memory(self):
+        # rows leave as the scan yields them: no dict of the range, no sorted copy
+        sink = _ByteSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["omega-up-to", "--gens", "6,9,20", "--n", "50000", "--stream"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.nbytes > 1_000_000
+        assert peak < 2**20
+
+    def test_omega_up_to_is_ascending(self, capsys):
+        code, out, _ = run(capsys, "omega-up-to", "--gens", "6,9,20", "--n", "30")
+        assert code == 0
+        rows = [tuple(map(int, line.split())) for line in out.splitlines()]
+        assert [m for m, _ in rows] == [0, 6, 9, 12, 15, 18, 20, 21, 24, 26, 27, 29, 30]
+        assert rows == list(numfac.omega_up_to(numfac.NumericalMonoid([6, 9, 20]), 30).items())
+
+    @pytest.mark.parametrize("form", [["--format", "plain"], ["--format", "csv"],
+                                      ["--format", "json"], ["--stream"]])
+    def test_refused_omega_up_to_prints_nothing(self, capsys, form):
+        code, out, _ = run(capsys, "omega-up-to", "--gens", "6,9,20", "--n", "-44",
+                           "--domain", "quotient", *form)
+        assert (code, out) == (1, "")
 
 
 class TestPlotData:

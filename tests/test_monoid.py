@@ -5,6 +5,7 @@ import pytest
 from numfac import (
     AperySet,
     EmptyGenerators,
+    Int64Overflow,
     NonCoprime,
     NonPositiveBase,
     NotAGenerator,
@@ -130,6 +131,37 @@ class TestAperySets:
             S.apery_set(0)
         with pytest.raises(NotInMonoid):
             S.apery_set(7)
+
+    @pytest.mark.parametrize("gens", [[1], [2, 3], [6, 9, 20], [10, 17, 19, 25, 31]])
+    def test_matches_definition(self, gens):
+        S = NumericalMonoid(gens)
+        for base in (1, 2, 6, 9, 20, 31, 77):
+            if not S.contains(base):
+                continue
+            member = sieve_members(gens, S.frobenius + base)
+            assert S.apery_set(base).elements == tuple(
+                m for m in range(S.frobenius + base + 1)
+                if member[m] and (m < base or not member[m - base])
+            )
+
+    def test_huge_base_refused_before_allocating(self):
+        S = NumericalMonoid([6, 9, 20])
+        tracemalloc.start()
+        try:
+            with pytest.raises(Int64Overflow):
+                S.apery_set(10**15)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_base_cap_boundary(self, monkeypatch):
+        # the table of an Apery set of base b has F(S) + b + 1 entries
+        monkeypatch.setattr("numfac.monoid._MEMBER_TABLE_LIMIT", 100)
+        S = NumericalMonoid([6, 9, 20])
+        assert len(S.apery_set(56)) == 56
+        with pytest.raises(Int64Overflow):
+            S.apery_set(57)
 
     def test_intersection_of_all_generators_is_zero(self):
         S = NumericalMonoid([6, 9, 20])

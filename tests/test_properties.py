@@ -8,8 +8,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numfac import (
     NumericalMonoid,
     brute_force_factorizations,
+    bullets_brute_force,
     delta_of_lengths,
     delta_set,
+    dynamic_bullets,
     factorizations,
     factorizations_up_to,
     length_set,
@@ -18,6 +20,7 @@ from numfac import (
 )
 from numfac.delta import _deltas_up_to, _mask_gaps
 from numfac.factorization import _mask_to_lengths
+from numfac.omega import _scan
 
 # small coprime generating sets keep the brute-force oracles fast
 gen_sets = st.lists(st.integers(2, 30), min_size=2, max_size=4).filter(
@@ -144,3 +147,24 @@ def test_sandwich_on_members(gens, n):
 def test_omega_zero_iff_negated_member(gens, x):
     S = NumericalMonoid(gens)
     assert (omega(S, x) == 0) == S.contains(-x)
+
+
+@given(gen_sets)
+@example([1, 2])  # F(S) = -1: the scan starts at 0
+@settings(max_examples=40, deadline=None)
+def test_dynamic_bullets_are_the_longest_bullet_per_value(gens):
+    # the vectorized scan step against the enumeration oracle at every x
+    # of one scan to a small cap; dynamic_bullets(S, x) is the entry of x
+    # in that scan, called at three points (every x would cost a scan each)
+    S = NumericalMonoid(gens)
+    cap = 40
+    entries = {}
+    for x, (values, lengths) in _scan(S, cap):
+        entries[x] = dict(zip(values.tolist(), lengths.tolist()))
+        longest = {}
+        for b in bullets_brute_force(S, x):
+            v = sum(c * g for c, g in zip(b, S.generators))
+            longest[v] = max(longest.get(v, 0), sum(b))
+        assert entries[x] == longest
+    for x in (min(-S.frobenius, 0), 0, cap):
+        assert dict(dynamic_bullets(S, x)) == entries[x]
