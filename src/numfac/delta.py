@@ -32,9 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import HorizonTooSmall
+from .errors import HorizonTooSmall, Int64Overflow
 from .factorization import _checked_target, _length_masks_up_to
-from .monoid import NumericalMonoid, require_i64
+from .monoid import _MEMBER_TABLE_LIMIT, NumericalMonoid, require_i64
 
 __all__ = [
     "delta_of_lengths",
@@ -150,6 +150,8 @@ def delta_periodicity(monoid: NumericalMonoid, horizon):
     nk = monoid.generators[-1]
     if horizon < lcm + nk:
         raise HorizonTooSmall(f"horizon {horizon} < lcm + nk = {lcm + nk}")
+    if horizon + 1 > _MEMBER_TABLE_LIMIT:
+        raise Int64Overflow(f"horizon {horizon} exceeds the per-element table cap")
 
     deltas = [None] * (horizon + 1)  # None marks gaps of the monoid
     for m, d in _deltas_up_to(monoid, horizon):

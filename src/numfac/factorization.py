@@ -11,9 +11,11 @@ makes the union disjoint, so each vector is produced exactly once:
 
 Length sets satisfy the same recurrence with "append e_i" replaced by
 "+1", which is why they can be scanned without ever materializing a
-factorization.  One ring-buffer loop, ``_window_scan``, drives both:
-it keeps only the last nk results, so memory stays proportional to the
-window, not to the target, and each scan is just its combine step.
+factorization.  One ring-buffer loop, ``_window_scan``, drives both
+and omega's dynamic bullets: it keeps only the last nk results, so
+memory stays proportional to the window, not to the target, and each
+scan is just its step.  Membership comes from the recurrence itself:
+m > 0 lies in S iff some m - ni does, so an empty union marks a gap.
 
 Length sets are stored internally as integer bitmasks (bit l set iff l
 is an attainable length); shifting a mask left by one adds 1 to every
@@ -48,31 +50,21 @@ def _checked_target(n):
     return n
 
 
-def _window_scan(monoid, n, identity, step):
-    """Yield (m, entry) for every monoid element m in [0, n], ascending.
+def _window_scan(gens, start, n, fill, step):
+    """Yield (m, entry) for every integer m in [start, n] whose entry is not None.
 
-    The entry of 0 is ``identity``; the entry of any other m is
-    ``step(preds)``, where preds[i] is the entry of m - ni, or None when
-    m - ni is not in the monoid (at least one is not None).  Only the
-    last nk entries are kept.
+    The entry of m is ``step(m, preds)``, where preds[i] is the entry of
+    m - ni and every integer below ``start`` has the entry ``fill``.
+    Only the last nk entries are kept, in a ring indexed by m mod nk.
     """
-    n = _checked_target(n)
-    gens = monoid.generators
     nk = gens[-1]
-    contains = monoid.contains
-    # past F(S) + nk every m - ni lies in the monoid
-    full = monoid.frobenius + nk
-    window = [None] * nk
-    for m in range(n + 1):
-        if not contains(m):
-            continue
-        if m == 0:
-            entry = identity
-        else:
-            entry = step([window[(m - g) % nk] if m > full or m >= g and contains(m - g)
-                          else None for g in gens])
+    # a slot below start is still unwritten when it is read
+    window = [fill] * nk
+    for m in range(start, n + 1):
+        entry = step(m, [window[(m - g) % nk] for g in gens])
         window[m % nk] = entry
-        yield m, entry
+        if entry is not None:
+            yield m, entry
 
 
 def _final(scan):
@@ -81,7 +73,7 @@ def _final(scan):
 
 
 def _extend(preds):
-    # a + e_i for the a in Z(m - ni) that vanish below index i
+    # a + e_i for the a in Z(m - ni) that vanish below index i; None iff m is not in S
     parts = []
     for i, P in enumerate(preds):
         if P is None:
@@ -92,9 +84,10 @@ def _extend(preds):
             P = P.copy()
             P[:, i] += 1
             parts.append(P)
-    Z = np.vstack(parts) if len(parts) > 1 else parts[0]
-    Z.setflags(write=False)
-    return Z
+    if parts:
+        Z = np.vstack(parts) if len(parts) > 1 else parts[0]
+        Z.setflags(write=False)
+        return Z
 
 
 def factorizations_up_to(monoid: NumericalMonoid, n):
@@ -111,7 +104,8 @@ def factorizations_up_to(monoid: NumericalMonoid, n):
     dtype = np.int32 if n // monoid.generators[0] < 2**31 - 1 else np.int64
     zero = np.zeros((1, monoid.k), dtype=dtype)
     zero.setflags(write=False)
-    yield from _window_scan(monoid, n, zero, _extend)
+    yield from _window_scan(monoid.generators, 0, n, None,
+                            lambda m, preds: _extend(preds) if m else zero)
 
 
 def factorizations(monoid: NumericalMonoid, n):
@@ -181,18 +175,20 @@ def brute_force_factorizations(monoid: NumericalMonoid, n, support=None):
     return result
 
 
-def _length_step(preds):
-    # L(m) is the union of L(m - ni) + 1
+def _length_step(m, preds):
+    # L(m) is the union of L(m - ni) + 1; an empty union means m is not in S
+    if not m:
+        return 1
     mask = 0
     for prev in preds:
         if prev:
             mask |= prev
-    return mask << 1
+    return mask << 1 or None
 
 
 def _length_masks_up_to(monoid, n):
     """Yield (m, bitmask of L(m)) for monoid elements m in [0, n]."""
-    yield from _window_scan(monoid, n, 1, _length_step)
+    yield from _window_scan(monoid.generators, 0, _checked_target(n), None, _length_step)
 
 
 def _mask_to_lengths(mask):

@@ -36,9 +36,11 @@ from .errors import (
 
 I64_MAX = 2**63 - 1
 
-# Resource guards: the residue table has n1 entries and a membership table
-# F(S)+1 entries (F(S)+b+1 for an Apery set of base b).  Both raise
-# Int64Overflow beyond these caps rather than silently exhausting memory.
+# Resource guards, checked before allocating and refused with Int64Overflow:
+# _RESIDUE_TABLE_LIMIT caps the n1 entries of the residue table and the b
+# elements of an Apery set of base b; _MEMBER_TABLE_LIMIT caps the F(S)+1
+# bytes of the membership table (built at about one byte each), the F(S)+b+1
+# of an Apery set's table and the horizon+1 slots of delta_periodicity.
 _RESIDUE_TABLE_LIMIT = 50_000_000
 _MEMBER_TABLE_LIMIT = 500_000_000
 
@@ -147,15 +149,14 @@ class NumericalMonoid:
         self.frobenius = max(dist) - n1
         self.period_hint = math.lcm(n1, nk)
 
-        if self.frobenius >= 0:
-            if self.frobenius + 1 > _MEMBER_TABLE_LIMIT:
-                raise Int64Overflow(
-                    f"Frobenius number {self.frobenius} exceeds the membership table cap"
-                )
-            idx = np.arange(self.frobenius + 1, dtype=np.int64)
-            self._table = np.asarray(self._dist, dtype=np.int64)[idx % n1] <= idx
-        else:
-            self._table = np.zeros(0, dtype=bool)
+        size = self.frobenius + 1
+        if size > _MEMBER_TABLE_LIMIT:
+            raise Int64Overflow(
+                f"Frobenius number {self.frobenius} exceeds the membership table cap"
+            )
+        # m = j * n1 + r lies in S iff j >= q[r], its Kunz coordinate: one byte row per j
+        q = (np.asarray(dist, dtype=np.int64) - np.arange(n1)) // n1
+        self._table = (np.arange(-(-size // n1))[:, None] >= q).ravel()[:size]
 
     def __repr__(self):
         return f"NumericalMonoid({', '.join(map(str, self.generators))})"
@@ -198,8 +199,8 @@ class NumericalMonoid:
             raise NonPositiveBase(f"Apery base must be positive, got {base}")
         if not self.contains(base):
             raise NotInMonoid(f"{base} is not an element of {self!r}")
-        if self.frobenius + base + 1 > _MEMBER_TABLE_LIMIT:
-            raise Int64Overflow(f"Apery base {base} exceeds the membership table cap")
+        if base > _RESIDUE_TABLE_LIMIT or self.frobenius + base + 1 > _MEMBER_TABLE_LIMIT:
+            raise Int64Overflow(f"Apery base {base} exceeds the Apery set cap")
         # m in [0, F(S) + base] is in the Apery set iff m is in S and m - base is not
         member = np.concatenate((self._table, np.ones(base, dtype=bool)))
         outside = np.concatenate((np.ones(base, dtype=bool), ~member[:-base]))

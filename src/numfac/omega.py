@@ -15,9 +15,11 @@ Three independent routes to the same numbers live here:
     a pair (v, l) survives unchanged when v - m is in S and otherwise
     becomes (v + ni, l + 1), all k entries in one vectorized step.  Every
     integer below -F(S) has the constant entry {(0, 0)}, which lets the
-    scan start at min(-F(S), 0).  The scan yields each entry as it goes;
-    omega(m) is its largest length, and ``omega``, ``dynamic_bullets``,
-    ``omega_up_to`` and ``quasilinear_model`` all read it off that stream.
+    scan start at min(-F(S), 0).  Only the step lives here; it runs in
+    ``factorization._window_scan``, the one ring-buffer loop of Z and L
+    too, which yields each entry as it goes.  omega(m) is its largest
+    length, and ``omega``, ``dynamic_bullets``, ``omega_up_to`` and
+    ``quasilinear_model`` all read it off that stream.
   * ``bullets_brute_force`` enumerates exponent vectors directly and
     filters by the two bullet conditions.  Values never exceed
     x + F(S) + nk, which bounds the enumeration.
@@ -37,14 +39,13 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import BelowThreshold, TargetBelowBase
-from .factorization import _grid_budget, _sorted_grid
+from .factorization import _final, _grid_budget, _sorted_grid, _window_scan
 from .monoid import NumericalMonoid, require_i64
 
 __all__ = [
@@ -85,10 +86,9 @@ def _scan(monoid, n):
     gap = np.concatenate((np.ones(nk, dtype=bool), ~monoid._table, np.zeros(nk, dtype=bool)))
     steps = np.array(gens, dtype=np.int64)
     zero = np.zeros(1, dtype=np.int64)
-    # every entry below the base is {(0, 0)}: its slot is still unwritten when read
-    window = [(zero, zero)] * nk
-    for m in range(base, n + 1):
-        vs, ls = zip(*[window[(m - g) % nk] for g in gens])
+
+    def step(m, preds):
+        vs, ls = zip(*preds)
         v = np.concatenate(vs)
         l = np.concatenate(ls)
         moved = gap[v - (m - nk)]
@@ -100,9 +100,10 @@ def _scan(monoid, n):
         last = np.empty(len(v), dtype=bool)
         last[-1] = True
         last[:-1] = v[1:] != v[:-1]
-        entry = (v[last], l[last])
-        window[m % nk] = entry
-        yield m, entry
+        return v[last], l[last]
+
+    # every entry below the base is {(0, 0)}
+    yield from _window_scan(gens, base, n, (zero, zero), step)
 
 
 def _omegas(monoid, n, domain):
@@ -139,8 +140,7 @@ def dynamic_bullets(monoid: NumericalMonoid, n):
     n = require_i64(n, "target")
     if n < -monoid.frobenius:
         return ((0, 0),)
-    # the scan's last entry, read here so a per-module profile counts the scan in omega
-    values, lengths = deque(_scan(monoid, n), maxlen=1)[0][1]
+    values, lengths = _final(_scan(monoid, n))
     return tuple(zip(values.tolist(), lengths.tolist()))
 
 

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from numfac import (
     HorizonTooSmall,
+    Int64Overflow,
     NumericalMonoid,
     delta_of_lengths,
     delta_periodicity,
@@ -81,6 +84,23 @@ class TestPeriodicity:
     def test_horizon_validation(self):
         with pytest.raises(HorizonTooSmall):
             delta_periodicity(MCNUGGET, 60)
+
+    def test_huge_horizon_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(Int64Overflow):
+                delta_periodicity(MCNUGGET, 10**13)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_horizon_cap_boundary(self, monkeypatch):
+        # one slot per integer of [0, horizon]
+        monkeypatch.setattr("numfac.delta._MEMBER_TABLE_LIMIT", 201)
+        assert delta_periodicity(MCNUGGET, 200).verified_up_to == 200
+        with pytest.raises(Int64Overflow):
+            delta_periodicity(MCNUGGET, 201)
 
 
 class TestPerElementDeltasInsideMonoidDelta:

@@ -57,6 +57,8 @@ FAILURES = {
     "exit2-invalid-monoid": ["info", "--gens", "4,6"],
     "exit3-overflow": ["omega", "--gens", "6,9,20", "--n", "99999999999999999999"],
     "exit3-apery-huge-base": ["apery", "--gens", "6,9,20", "--n", "1000000000000000"],
+    "exit3-delta-periodicity-huge-horizon": ["delta-periodicity", "--gens", "6,9,20",
+                                             "--horizon", "10000000000000"],
     "exit3-plotdata-delta-horizon-overflow-csv": ["plotdata", "delta", "--gens", "6,9,20",
                                                   "--horizon", "99999999999999999999",
                                                   "--format", "csv"],

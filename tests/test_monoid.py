@@ -50,6 +50,17 @@ class TestConstruction:
         assert S.removed_generators == (4_000_001,)
         assert peak < 1_000_000
 
+    def test_membership_table_costs_about_one_byte_per_offset(self):
+        # F = 3,997,999: the table kept is 4.0 MB
+        tracemalloc.start()
+        try:
+            S = NumericalMonoid([2000, 2001])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(S._table) == S.frobenius + 1
+        assert peak < 16_000_000
+
     def test_input_order_and_duplicates_ignored(self):
         assert NumericalMonoid([20, 9, 6, 9]).generators == (6, 9, 20)
 
@@ -162,6 +173,14 @@ class TestAperySets:
         assert len(S.apery_set(56)) == 56
         with pytest.raises(Int64Overflow):
             S.apery_set(57)
+
+    def test_base_cap_counts_the_elements(self, monkeypatch):
+        # an Apery set of base b has b elements, one per residue mod b
+        monkeypatch.setattr("numfac.monoid._RESIDUE_TABLE_LIMIT", 60)
+        S = NumericalMonoid([6, 9, 20])
+        assert len(S.apery_set(60)) == 60
+        with pytest.raises(Int64Overflow):
+            S.apery_set(61)
 
     def test_intersection_of_all_generators_is_zero(self):
         S = NumericalMonoid([6, 9, 20])

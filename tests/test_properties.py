@@ -19,7 +19,7 @@ from numfac import (
     omega,
 )
 from numfac.delta import _deltas_up_to, _mask_gaps
-from numfac.factorization import _mask_to_lengths
+from numfac.factorization import _length_masks_up_to, _mask_to_lengths
 from numfac.omega import _scan
 
 # small coprime generating sets keep the brute-force oracles fast
@@ -31,6 +31,7 @@ lengths_strategy = st.lists(st.integers(0, 200), min_size=1, max_size=25, unique
 
 
 @given(gen_sets)
+@example([1])
 @settings(max_examples=40, deadline=None)
 def test_membership_matches_brute_representability(gens):
     S = NumericalMonoid(gens)
@@ -41,6 +42,12 @@ def test_membership_matches_brute_representability(gens):
         member[v] = any(v >= g and member[v - g] for g in gens)
     for m in range(limit + 1):
         assert S.contains(m) == member[m]
+    assert S._table.tolist() == member[:S.frobenius + 1]
+    # the scans read membership off their own recurrence, not off the table
+    for n in (limit, S.generators[-1] - 1):
+        elements = [m for m in range(n + 1) if member[m]]
+        assert [m for m, _ in factorizations_up_to(S, n)] == elements
+        assert [m for m, _ in _length_masks_up_to(S, n)] == elements
 
 
 def _representable_by(value, gens):
