@@ -9,6 +9,11 @@ makes the union disjoint, so each vector is produced exactly once:
     Z(m) = disjoint union over i of
            { a + e_i : a in Z(m - ni), a_j = 0 for all j < i }
 
+Z(m) is stored part by part in ascending i, and every row of part i has
+its first nonzero index at i.  So the rows of Z(m - ni) that vanish
+below index i are a suffix of that array, located by the part offsets
+stored beside it: each step copies k suffixes and filters no rows.
+
 Length sets satisfy the same recurrence with "append e_i" replaced by
 "+1", which is why they can be scanned without ever materializing a
 factorization.  One ring-buffer loop, ``_window_scan``, drives both
@@ -73,21 +78,23 @@ def _final(scan):
 
 
 def _extend(preds):
-    # a + e_i for the a in Z(m - ni) that vanish below index i; None iff m is not in S
-    parts = []
-    for i, P in enumerate(preds):
-        if P is None:
-            continue
-        if i:
-            P = P[(P[:, :i] == 0).all(axis=1)]
-        if len(P):
-            P = P.copy()
-            P[:, i] += 1
-            parts.append(P)
-    if parts:
-        Z = np.vstack(parts) if len(parts) > 1 else parts[0]
-        Z.setflags(write=False)
-        return Z
+    # preds[i] is (Z(m - ni), starts); starts[i] counts the rows whose first
+    # nonzero index is below i.  Rows run in ascending first-nonzero index, so
+    # the a that vanish below index i are the suffix from starts[i], and part i
+    # is that suffix plus e_i.  An empty union means m is not in S.
+    offsets = [0]
+    for i, entry in enumerate(preds):
+        offsets.append(offsets[-1] + (0 if entry is None else len(entry[0]) - entry[1][i]))
+    if not offsets[-1]:
+        return None
+    Z = np.empty((offsets[-1], len(preds)), next(e for e in preds if e is not None)[0].dtype)
+    for i, entry in enumerate(preds):
+        lo, hi = offsets[i], offsets[i + 1]
+        if lo < hi:
+            Z[lo:hi] = entry[0][entry[1][i]:]
+            Z[lo:hi, i] += 1
+    Z.setflags(write=False)
+    return Z, offsets
 
 
 def factorizations_up_to(monoid: NumericalMonoid, n):
@@ -104,8 +111,10 @@ def factorizations_up_to(monoid: NumericalMonoid, n):
     dtype = np.int32 if n // monoid.generators[0] < 2**31 - 1 else np.int64
     zero = np.zeros((1, monoid.k), dtype=dtype)
     zero.setflags(write=False)
-    yield from _window_scan(monoid.generators, 0, n, None,
-                            lambda m, preds: _extend(preds) if m else zero)
+    first = (zero, [0] * monoid.k)
+    for m, (Z, _) in _window_scan(monoid.generators, 0, n, None,
+                                  lambda m, preds: _extend(preds) if m else first):
+        yield m, Z
 
 
 def factorizations(monoid: NumericalMonoid, n):

@@ -82,7 +82,10 @@ def _is_antichain(bullets):
     rows = np.array(sorted(bullets), dtype=np.int64)
     if len(rows) < 2:
         return True
-    dominated = (rows[:, None, :] <= rows[None, :, :]).all(axis=-1)
+    # dominated[a, b]: row a <= row b in every coordinate
+    dominated = np.ones((len(rows), len(rows)), dtype=bool)
+    for col in rows.T:
+        dominated &= col[:, None] <= col[None, :]
     np.fill_diagonal(dominated, False)
     return not dominated.any()
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from numfac import (
@@ -114,3 +116,19 @@ class TestScaling:
         # 33 = ceil(1000/31) atoms cannot hit 1000 exactly; 34 can
         assert L[0] == 34
         assert L[-1] == 100  # one hundred copies of the generator 10
+
+    def test_sweep_streams_in_window_memory(self):
+        # the scan keeps nk + 1 consecutive entries alive (the ring plus the
+        # entry being built), so its peak stays near their largest run
+        S = NumericalMonoid([10, 17, 19, 25, 31])
+        sizes = [Z.nbytes for _, Z in factorizations_up_to(S, 1000)]
+        run = S.generators[-1] + 1
+        window = max(sum(sizes[i:i + run]) for i in range(len(sizes)))
+        tracemalloc.start()
+        try:
+            for _ in factorizations_up_to(S, 1000):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < window + 2**20, (peak, window)

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from numfac import (
@@ -19,7 +20,7 @@ from numfac import (
     omega,
 )
 from numfac.delta import _deltas_up_to, _mask_gaps
-from numfac.factorization import _length_masks_up_to, _mask_to_lengths
+from numfac.factorization import _length_masks_up_to, _mask_to_lengths, _window_scan
 from numfac.omega import _scan
 
 # small coprime generating sets keep the brute-force oracles fast
@@ -88,6 +89,58 @@ def test_dynamic_factorizations_equal_oracle(gens):
                  for m, Z in factorizations_up_to(S, limit)}
     for m in range(limit + 1):
         assert collected.get(m, set()) == brute_force_factorizations(S, m)
+
+
+def _row_filter_extend(preds):
+    # the Z step before suffix offsets: filter each Z(m - ni) for its rows
+    # that vanish below index i, then stack the parts
+    parts = []
+    for i, P in enumerate(preds):
+        if P is None:
+            continue
+        if i:
+            P = P[(P[:, :i] == 0).all(axis=1)]
+        if len(P):
+            P = P.copy()
+            P[:, i] += 1
+            parts.append(P)
+    if parts:
+        Z = np.vstack(parts) if len(parts) > 1 else parts[0]
+        Z.setflags(write=False)
+        return Z
+
+
+def _assert_matches_row_filter(S, n):
+    zero = np.zeros((1, S.k), dtype=np.int32)  # the targets here keep int32
+    zero.setflags(write=False)
+    reference = _window_scan(S.generators, 0, n, None,
+                             lambda m, preds: _row_filter_extend(preds) if m else zero)
+    for (m, Z), (m_ref, Z_ref) in zip(factorizations_up_to(S, n), reference, strict=True):
+        assert m == m_ref
+        assert Z.dtype == Z_ref.dtype and Z.shape == Z_ref.shape
+        assert Z.tobytes() == Z_ref.tobytes()
+        assert not Z.flags.writeable
+        if m:
+            # the offsets rely on rows running in ascending first-nonzero index
+            assert (np.diff((Z != 0).argmax(axis=1)) >= 0).all()
+
+
+@given(gen_sets)
+@example([1])
+@settings(max_examples=30, deadline=None)
+def test_suffix_offset_step_matches_row_filter(gens):
+    S = NumericalMonoid(gens)
+    _assert_matches_row_filter(S, min(2 * S.frobenius + 20, 150))
+
+
+@pytest.mark.parametrize("gens, n", [
+    ((10, 17, 19, 25, 31), 300),
+    ((51, 53, 55, 117), 800),
+    ((7, 15, 17, 18, 20), 250),
+    ((100, 121, 142, 163, 284), 2500),
+])
+def test_suffix_offset_step_matches_row_filter_on_table_monoids(gens, n):
+    _assert_matches_row_filter(NumericalMonoid(gens), n)
 
 
 @given(gen_sets)
