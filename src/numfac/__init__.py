@@ -14,87 +14,19 @@ brute-force oracle.
 170
 """
 
-from .delta import (
-    DeltaPeriodicityReport,
-    delta_of_lengths,
-    delta_periodicity,
-    delta_scan_bound,
-    delta_set,
-)
-from .errors import (
-    BelowThreshold,
-    EmptyGenerators,
-    EmptySubset,
-    HorizonTooSmall,
-    Int64Overflow,
-    MonoidInputError,
-    NegativeTarget,
-    NonCoprime,
-    NonPositiveBase,
-    NotAGenerator,
-    NotInMonoid,
-    TargetBelowBase,
-    ZeroGenerator,
-)
-from .factorization import (
-    brute_force_factorizations,
-    factorizations,
-    factorizations_up_to,
-    length_set,
-    length_sets_up_to,
-    max_length,
-)
-from .monoid import AperySet, NumericalMonoid
-from .omega import (
-    QuasilinearModel,
-    bullets_brute_force,
-    bullets_via_apery,
-    dynamic_bullets,
-    omega,
-    omega_extrapolate,
-    omega_up_to,
-    quasilinear_model,
-)
+import sys
+
+from .delta import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .factorization import *  # noqa: F403
+from .monoid import *  # noqa: F403
+from .omega import *  # noqa: F403
 from .verify import PropertyResult, run_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "NumericalMonoid",
-    "AperySet",
-    "factorizations",
-    "factorizations_up_to",
-    "brute_force_factorizations",
-    "length_set",
-    "length_sets_up_to",
-    "max_length",
-    "delta_of_lengths",
-    "delta_set",
-    "delta_scan_bound",
-    "delta_periodicity",
-    "DeltaPeriodicityReport",
-    "omega",
-    "omega_up_to",
-    "dynamic_bullets",
-    "bullets_brute_force",
-    "bullets_via_apery",
-    "quasilinear_model",
-    "omega_extrapolate",
-    "QuasilinearModel",
-    "run_suite",
-    "PropertyResult",
-    "MonoidInputError",
-    "EmptyGenerators",
-    "ZeroGenerator",
-    "NonCoprime",
-    "NotInMonoid",
-    "NonPositiveBase",
-    "EmptySubset",
-    "NotAGenerator",
-    "NegativeTarget",
-    "HorizonTooSmall",
-    "TargetBelowBase",
-    "BelowThreshold",
-    "Int64Overflow",
-    "__version__",
-]
+# each module's __all__ is the one list of its public names; the modules
+# are looked up by name because ``omega`` here is the function
+__all__ = [name for module in ("delta", "errors", "factorization", "monoid", "omega")
+           for name in sys.modules[f"{__name__}.{module}"].__all__]
+__all__ += ["PropertyResult", "run_suite", "__version__"]

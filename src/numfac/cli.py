@@ -13,9 +13,10 @@ the Frobenius number.  ``--stream`` switches the sweep commands
 per line.  All numbers are integers except the
 quasilinear offsets, which are exact fractions rendered as "p/q".
 
-Exit codes: 0 success, 1 usage or precondition error (or stdout closed
-before the output was complete, as by ``| head``), 2 invalid monoid,
-3 arithmetic overflow, 4 required element not in the monoid.
+Exit codes (``_EXITS`` maps exceptions onto them): 0 success, 1 usage or
+precondition error (or stdout closed before the output was complete, as
+by ``| head``), 2 invalid monoid, 3 arithmetic overflow or out of memory,
+4 required element not in the monoid, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .factorization import (
 from .monoid import NumericalMonoid
 from .omega import (
     _omegas,
-    _scan,
     bullets_brute_force,
     bullets_via_apery,
     dynamic_bullets,
@@ -67,12 +67,17 @@ def _build_parser():
     parser = _Parser(prog="numfac", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"numfac {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in COMMANDS:
+
+    def ints(text):
+        return [int(p) for p in text.split(",") if p.strip()]
+
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name, prog=f"numfac {name}")
         if name == "plotdata":
             p.add_argument("kind", choices=("delta", "omega"))
-        p.add_argument("--gens", required=True, help="comma-separated positive integers")
-        p.add_argument("--n", type=int, default=None)
+        p.add_argument("--gens", type=ints, required=True,
+                       help="comma-separated positive integers")
+        p.add_argument("--n", type=int, default=None, required=command.needs_n)
         p.add_argument("--horizon", type=int, default=None)
         p.add_argument("--bound", type=int, default=None)
         p.add_argument("--domain", choices=("monoid", "quotient"), default="monoid")
@@ -80,14 +85,6 @@ def _build_parser():
         p.add_argument("--stream", action="store_true")
         p.add_argument("--method", choices=("dp", "apery", "brute"), default="dp")
     return parser
-
-
-def _parse_gens(text, parser):
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        parser.error(f"--gens expects comma-separated integers, got {text!r}")
 
 
 def _dumps(doc):
@@ -187,7 +184,7 @@ def _cmd_factorizations(S, args):
 
 
 def _cmd_factorizations_up_to(S, args):
-    elements = ({"m": m, "count": len(Z), "factorizations": _desc_lex(Z.tolist())}
+    elements = ({"m": m, "count": len(Z), "factorizations": Z.tolist()}
                 for m, Z in factorizations_up_to(S, args.n))
     return _Output(
         {"elements": elements},
@@ -298,39 +295,32 @@ def _cmd_verify(S, args):
     )
 
 
-def _cmd_bench(S, args):
-    n = args.n if args.n is not None else 300
-
-    t0 = time.perf_counter()
-    for _ in factorizations_up_to(S, n):
-        pass
-    dyn_z = time.perf_counter() - t0
-
+def _naive_factorizations(S, n):
     # the naive route restarts per element: drop the memoized
     # enumeration grid each time so the restart is real
-    t0 = time.perf_counter()
     for m in range(n + 1):
         _sorted_grid.cache_clear()
-        brute_force_factorizations(S, m)
-    naive_z = time.perf_counter() - t0
+        yield brute_force_factorizations(S, m)
 
-    t0 = time.perf_counter()
-    for _ in _scan(S, n):
-        pass
-    dyn_w = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    for x in range(-S.frobenius, n + 1):
-        bullets_brute_force(S, x)
-    naive_w = time.perf_counter() - t0
+def _cmd_bench(S, args):
+    n = args.n if args.n is not None else 300
+    routes = {
+        "factorizations dynamic": lambda: factorizations_up_to(S, n),
+        "factorizations naive": lambda: _naive_factorizations(S, n),
+        "omega dynamic": lambda: dynamic_bullets(S, n),
+        "omega naive": lambda: (bullets_brute_force(S, x) for x in range(-S.frobenius, n + 1)),
+    }
+    seconds = {}
+    for name, route in routes.items():
+        t0 = time.perf_counter()
+        for _ in route():
+            pass
+        seconds[name] = time.perf_counter() - t0
 
-    results = [
-        {"name": "factorizations dynamic", "ms": int(dyn_z * 1000)},
-        {"name": "factorizations naive", "ms": int(naive_z * 1000)},
-        {"name": "omega dynamic", "ms": int(dyn_w * 1000)},
-        {"name": "omega naive", "ms": int(naive_w * 1000)},
-    ]
-    faster = dyn_z < naive_z and dyn_w < naive_w
+    results = [{"name": name, "ms": int(s * 1000)} for name, s in seconds.items()]
+    faster = all(seconds[f"{what} dynamic"] < seconds[f"{what} naive"]
+                 for what in ("factorizations", "omega"))
     return _Output(
         {"results": results, "dynamic_faster": faster},
         ["name", "ms"],
@@ -398,21 +388,28 @@ def _render(out, args, S, started):
             print(line)
 
 
+# (exception type, exit code, stderr prefix): the first match wins, so a
+# subclass comes before its base
+_EXITS = (
+    (MonoidInputError, 2, "invalid monoid"),
+    (Int64Overflow, 3, "overflow"),
+    (MemoryError, 3, "out of memory"),
+    (NotInMonoid, 4, ""),
+    (ValueError, 1, ""),
+    (KeyboardInterrupt, 130, "interrupted"),
+)
+
+
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
     command = COMMANDS[args.command]
-    if command.needs_n and args.n is None:
-        parser.print_usage(sys.stderr)
-        print(f"numfac {args.command}: error: --n is required", file=sys.stderr)
-        return 1
 
     started = time.perf_counter()
     try:
-        S = NumericalMonoid(_parse_gens(args.gens, parser))
+        S = NumericalMonoid(args.gens)
         if args.stream and not command.streams:
             raise ValueError(f"--stream is not supported for {args.command}")
         out = command.run(S, args)
@@ -422,20 +419,10 @@ def main(argv=None):
         # stdout closed early (``| head``): the flush at exit must not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except MonoidInputError as exc:
-        print(f"numfac: invalid monoid: {exc}", file=sys.stderr)
-        return 2
-    except Int64Overflow as exc:
-        print(f"numfac: overflow: {exc}", file=sys.stderr)
-        return 3
-    except NotInMonoid as exc:
-        print(f"numfac: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, SystemExit) as exc:
-        if isinstance(exc, SystemExit):
-            return exc.code or 0
-        print(f"numfac: {exc}", file=sys.stderr)
-        return 1
+    except tuple(kind for kind, _, _ in _EXITS) as exc:
+        _, code, prefix = next(row for row in _EXITS if isinstance(exc, row[0]))
+        print("numfac: " + ": ".join(filter(None, (prefix, str(exc)))), file=sys.stderr)
+        return code
     return 0 if out.ok else 1
 
 

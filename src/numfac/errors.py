@@ -1,8 +1,6 @@
 """Exception types raised by the numfac library.
 
-The CLI maps these onto process exit codes: invalid generating sets exit
-with 2, 64-bit overflow with 3, and a required element missing from the
-monoid with 4. All remaining precondition failures are usage errors.
+The CLI maps these onto process exit codes in one table, ``numfac.cli._EXITS``.
 """
 
 __all__ = [

@@ -12,7 +12,10 @@ makes the union disjoint, so each vector is produced exactly once:
 Z(m) is stored part by part in ascending i, and every row of part i has
 its first nonzero index at i.  So the rows of Z(m - ni) that vanish
 below index i are a suffix of that array, located by the part offsets
-stored beside it: each step copies k suffixes and filters no rows.
+stored beside it: each step copies k suffixes and filters no rows.  The
+same layout puts every Z(m) in descending lexicographic order: a row of
+part i sorts above every row of a later part, and adding e_i to a suffix
+keeps its order.
 
 Length sets satisfy the same recurrence with "append e_i" replaced by
 "+1", which is why they can be scanned without ever materializing a
@@ -101,10 +104,10 @@ def factorizations_up_to(monoid: NumericalMonoid, n):
     """Yield (m, Z(m)) for every monoid element m in [0, n], ascending.
 
     Each Z(m) is a read-only numpy array of shape (len(Z(m)), k) holding
-    one exponent vector per row, in the deterministic order induced by
-    ascending extension index.  Rows are never duplicated; no dedup pass
-    runs.  Only the last nk factorization sets are retained internally,
-    so iterating without keeping references streams in bounded memory.
+    one exponent vector per row, in descending lexicographic order.
+    Rows are never duplicated; no dedup pass runs.  Only the last nk
+    factorization sets are retained internally, so iterating without
+    keeping references streams in bounded memory.
     """
     n = _checked_target(n)
     # no exponent exceeds n // n1

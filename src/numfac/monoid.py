@@ -34,6 +34,8 @@ from .errors import (
     ZeroGenerator,
 )
 
+__all__ = ["NumericalMonoid", "AperySet"]
+
 I64_MAX = 2**63 - 1
 
 # Resource guards, checked before allocating and refused with Int64Overflow:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import numfac
+from numfac import cli
 from numfac.cli import main
 
 
@@ -87,6 +88,17 @@ class TestExitCodes:
 
     def test_not_in_monoid_is_4(self, capsys):
         assert run(capsys, "apery", "--gens", "6,9,20", "--n", "7")[0] == 4
+
+    @pytest.mark.parametrize("error, expected", [(MemoryError, 3), (KeyboardInterrupt, 130)])
+    def test_memory_error_and_interrupt_exit_without_traceback(self, capsys, monkeypatch,
+                                                                error, expected):
+        def fail(S, args):
+            raise error
+
+        monkeypatch.setitem(cli.COMMANDS, "info", cli._Command(fail))
+        code, out, err = run(capsys, "info", "--gens", "6,9,20")
+        assert (code, out) == (expected, "")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 class TestFormats:

@@ -123,6 +123,8 @@ def _assert_matches_row_filter(S, n):
         if m:
             # the offsets rely on rows running in ascending first-nonzero index
             assert (np.diff((Z != 0).argmax(axis=1)) >= 0).all()
+        # the CLI prints Z(m) in the order the recurrence builds it
+        assert Z.tolist() == sorted(Z.tolist(), reverse=True)
 
 
 @given(gen_sets)
