@@ -13,13 +13,16 @@ Three independent routes to the same numbers live here:
     one pair per value, the longest).  The entry for m is obtained by
     pushing every pair of the entries for m - ni through the cover map:
     a pair (v, l) survives unchanged when v - m is in S and otherwise
-    becomes (v + ni, l + 1), all k entries in one vectorized step.  Every
-    integer below -F(S) has the constant entry {(0, 0)}, which lets the
-    scan start at min(-F(S), 0).  Only the step lives here; it runs in
-    ``factorization._window_scan``, the one ring-buffer loop of Z and L
-    too, which yields each entry as it goes.  omega(m) is its largest
-    length, and ``omega``, ``dynamic_bullets``, ``omega_up_to`` and
-    ``quasilinear_model`` all read it off that stream.
+    becomes (v + ni, l + 1), all k entries in one vectorized step.  The
+    scan packs each pair into one int64 key (v << bits) | l, so the step
+    is one concatenation, one add on the moved keys and one in-place
+    sort; a target whose keys would not fit in 63 bits is refused with
+    Int64Overflow.  Every integer below -F(S) has the constant entry
+    {(0, 0)}, which lets the scan start at min(-F(S), 0).  Only the step
+    lives here; it runs in ``factorization._window_scan``, the one
+    ring-buffer loop of Z and L too, which yields each entry as it goes.
+    omega(m) is its largest length, and ``dynamic_bullets``,
+    ``omega_up_to`` and ``quasilinear_model`` read it off that stream.
   * ``bullets_brute_force`` enumerates exponent vectors directly and
     filters by the two bullet conditions.  Values never exceed
     x + F(S) + nk, which bounds the enumeration.
@@ -30,9 +33,12 @@ Three independent routes to the same numbers live here:
 
 For n above the threshold N0 = ceil((F(S) + n2) * n1 / (n2 - n1)) the
 omega function is quasilinear: omega(n) = n / n1 + a(n mod n1) with
-exact rational offsets a.  ``quasilinear_model`` captures that shape
-(and where it empirically begins), and ``omega_extrapolate`` evaluates
-it for arbitrarily large n in constant time.
+exact rational offsets a (O'Neill and Pelayo, "On the linearity of
+omega-primality in numerical monoids", JPAA 2014).  ``quasilinear_model``
+captures that shape (and where it empirically begins) from one scan to
+N0 + 2 * n1, and ``omega_extrapolate`` evaluates it for arbitrarily
+large n in constant time.  ``omega`` takes that route for every n past
+N0 + 2 * n1 and scans only below it.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BelowThreshold, TargetBelowBase
+from .errors import BelowThreshold, Int64Overflow, TargetBelowBase
 from .factorization import _final, _grid_budget, _sorted_grid, _window_scan
 from .monoid import NumericalMonoid, require_i64
 
@@ -67,11 +73,16 @@ def _scan(monoid, n):
     bullets of m, sorted by value; omega(m) = lengths.max().  Its size is
     bounded for fixed S, which is what makes the scan linear.
 
-    One step covers all k generators at once: the entries at m - ni are
-    concatenated, one gather from a byte table over the offsets v - m in
-    [-nk, F(S) + nk] marks the pairs that move by (ni, 1), ni taken from
-    ``np.repeat`` of the generators, and a lexsort keeps the longest pair
-    per value.
+    Inside the scan a pair (v, l) is one int64 key (v << bits) | l.  A
+    bullet of m has v <= m + F(S) + nk and l <= v / n1, so ``bits`` holds
+    every length up to the target, and the keys of an entry sort by value
+    first and length second.  One step covers all k generators at once:
+    the keys at m - ni are concatenated, one gather from a byte table
+    over the offsets v - m in [-nk, F(S) + nk] marks the pairs that move
+    by (ni, 1), which adds (ni << bits) + 1 to their keys, and after one
+    in-place sort the last key of each value run is the longest pair.
+    A target whose keys would not fit in 63 bits raises Int64Overflow
+    before anything is built.
     """
     n = require_i64(n, "target")
     gens = monoid.generators
@@ -81,29 +92,29 @@ def _scan(monoid, n):
     base = min(-monoid.frobenius, 0)
     if n < base:
         raise TargetBelowBase(f"scan target {n} is below the base case {base}")
+    top = n + monoid.frobenius + nk  # the largest bullet value of the scan
+    bits = (top // gens[0]).bit_length()
+    if top.bit_length() + bits > 63:  # top >= 2**(63 - bits)
+        raise Int64Overflow(f"scan target {n} does not fit in packed 64-bit bullet keys")
 
     # gap[y + nk] is True iff the offset y in [-nk, F(S) + nk] lies outside S
     gap = np.concatenate((np.ones(nk, dtype=bool), ~monoid._table, np.zeros(nk, dtype=bool)))
-    steps = np.array(gens, dtype=np.int64)
-    zero = np.zeros(1, dtype=np.int64)
+    moves = np.array([(g << bits) + 1 for g in gens], dtype=np.int64)
 
     def step(m, preds):
-        vs, ls = zip(*preds)
-        v = np.concatenate(vs)
-        l = np.concatenate(ls)
-        moved = gap[v - (m - nk)]
-        v += np.repeat(steps, [len(p) for p in vs]) * moved
-        l += moved
-        order = np.lexsort((l, v))
-        v = v[order]
-        l = l[order]
-        last = np.empty(len(v), dtype=bool)
+        key = np.concatenate(preds)
+        key += moves.repeat([len(p) for p in preds]) * gap[(key >> bits) - (m - nk)]
+        key.sort()
+        v = key >> bits
+        last = np.empty(len(key), dtype=bool)
         last[-1] = True
         last[:-1] = v[1:] != v[:-1]
-        return v[last], l[last]
+        return key[last]
 
-    # every entry below the base is {(0, 0)}
-    yield from _window_scan(gens, base, n, (zero, zero), step)
+    # every entry below the base is {(0, 0)}, the key 0
+    lengths = (1 << bits) - 1
+    for m, key in _window_scan(gens, base, n, np.zeros(1, dtype=np.int64), step):
+        yield m, (key >> bits, key & lengths)
 
 
 def _omegas(monoid, n, domain):
@@ -120,13 +131,26 @@ def omega_up_to(monoid: NumericalMonoid, n, domain="monoid"):
 
     ``domain="monoid"`` returns entries for the monoid elements of
     [0, n]; ``domain="quotient"`` returns every integer of
-    [min(-F(S), 0), n].  The target must not lie below that start.
+    [min(-F(S), 0), n].  The target must not lie below that start, and
+    a target whose packed bullet keys cannot fit in 63 bits (above about
+    6.4e9 on <6,9,20>) raises Int64Overflow before the scan starts.
     """
     return dict(_omegas(monoid, n, domain))
 
 
 def omega(monoid: NumericalMonoid, n):
-    """omega(n) for a single integer n (0 whenever -n is in the monoid)."""
+    """omega(n) for a single integer n (0 whenever -n is in the monoid).
+
+    Above threshold + 2 * n1 (the ``quasilinear_model`` threshold N0) the
+    answer comes from that model, whose own scan stops there, so no
+    query scans further than N0 + 2 * n1 and a huge n costs no more than
+    that.  Every other n, and every monoid with one generator, is read
+    off the scan to n.
+    """
+    n = require_i64(n, "target")
+    gens = monoid.generators
+    if len(gens) >= 2 and n > _threshold(monoid) + 2 * gens[0]:
+        return omega_extrapolate(quasilinear_model(monoid), n)
     return max(length for _, length in dynamic_bullets(monoid, n))
 
 
@@ -135,7 +159,8 @@ def dynamic_bullets(monoid: NumericalMonoid, n):
 
     These are the window entries the scan keeps: one pair per attainable
     bullet value, with the largest length.  For n below -F(S) the entry
-    is the constant {(0, 0)}.
+    is the constant {(0, 0)}.  Targets past the packed-key range of the
+    scan raise Int64Overflow, as in ``omega_up_to``.
     """
     n = require_i64(n, "target")
     if n < -monoid.frobenius:
@@ -228,6 +253,12 @@ class QuasilinearModel:
         return self.threshold
 
 
+def _threshold(monoid):
+    """N0 = ceil((F(S) + n2) * n1 / (n2 - n1)), past which omega is quasilinear."""
+    n1, n2 = monoid.generators[:2]
+    return -((monoid.frobenius + n2) * n1 // -(n2 - n1))
+
+
 def quasilinear_model(monoid: NumericalMonoid):
     """Fit the exact eventual quasilinear form of omega on S.
 
@@ -239,11 +270,10 @@ def quasilinear_model(monoid: NumericalMonoid):
     gens = monoid.generators
     if len(gens) < 2:
         raise ValueError("the quasilinear model needs at least two generators")
-    n1, n2 = gens[0], gens[1]
-    F = monoid.frobenius
-    threshold = -((F + n2) * n1 // -(n2 - n1))  # ceil of the rational bound
+    n1 = gens[0]
+    threshold = _threshold(monoid)
     top = threshold + 2 * n1
-    base = min(-F, 0)
+    base = min(-monoid.frobenius, 0)
     # omega(m) at index m - base, in an array to keep the peak memory low
     w = np.fromiter((v for _, v in _omegas(monoid, top, "quotient")), dtype=np.int64)
     # one anchor per residue class mod n1, each in (threshold, threshold + n1]

@@ -2,7 +2,8 @@
 
 Each test prints one PASS/FAIL line.  All comparisons are exact (set
 equality / integer equality); nothing is tolerance-based.  Run with
-``--runslow`` to include the multi-minute omega reproduction.
+``--runslow`` to include the omega(357362) reproduction on
+<1001,1211,1421,1631,2841>, about 20 s on 2 cores.
 """
 
 import contextlib

@@ -86,6 +86,13 @@ class TestExitCodes:
                            "99999999999999999999")
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [["omega-up-to", "--stream"],
+                                      ["omega-up-to", "--format", "csv"]])
+    def test_huge_scan_target_is_3_with_empty_stdout(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--gens", "6,9,20", "--n", "1000000000000")
+        assert (code, out) == (3, "")
+        assert err.startswith("numfac: overflow:") and len(err.splitlines()) == 1
+
     def test_not_in_monoid_is_4(self, capsys):
         assert run(capsys, "apery", "--gens", "6,9,20", "--n", "7")[0] == 4
 

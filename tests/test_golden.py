@@ -8,7 +8,9 @@ its output is wall-clock time (``test_cli`` checks its structure).
 
 After an intended change of output, record the files again with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
+
+which records only the named cases when any are given.
 """
 
 import contextlib
@@ -46,7 +48,9 @@ EXTRA = [
     ["bullets", "--method", "brute"],
     ["omega-up-to", "--domain", "quotient"],
 ]
-FAILURES = {
+# single calls: a target far past the scan range, then the failing calls
+CALLS = {
+    "omega-huge-target": ["omega", "--gens", "6,9,20", "--n", "1000000000000"],
     "exit1-missing-n": ["omega", "--gens", "6,9,20"],
     "exit1-stream-unsupported": ["apery", "--gens", "6,9,20", "--n", "7", "--stream"],
     "exit1-negative-target-csv": ["factorizations-up-to", "--gens", "6,9,20", "--n", "-1",
@@ -62,12 +66,13 @@ FAILURES = {
     "exit3-plotdata-delta-horizon-overflow-csv": ["plotdata", "delta", "--gens", "6,9,20",
                                                   "--horizon", "99999999999999999999",
                                                   "--format", "csv"],
+    "exit3-bullets-huge-target": ["bullets", "--gens", "6,9,20", "--n", "1000000000000"],
     "exit4-not-in-monoid": ["apery", "--gens", "6,9,20", "--n", "7"],
 }
 
 
 def _cases():
-    cases = dict(FAILURES)
+    cases = dict(CALLS)
     for tag, flags in MONOIDS:
         commands = COMMANDS + (EXTRA if tag == MONOIDS[0][0] else [])
         for command in commands:

@@ -1,9 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from numfac import (
     BelowThreshold,
+    Int64Overflow,
     NumericalMonoid,
     TargetBelowBase,
     bullets_brute_force,
@@ -14,6 +16,7 @@ from numfac import (
     omega_up_to,
     quasilinear_model,
 )
+from numfac.omega import _scan
 
 MCNUGGET = NumericalMonoid([6, 9, 20])
 
@@ -167,6 +170,31 @@ class TestOmega:
         with pytest.raises(TargetBelowBase):
             omega_up_to(MCNUGGET, -44)
 
+    def test_huge_target_answers_from_the_model(self):
+        model = quasilinear_model(MCNUGGET)
+        assert omega(MCNUGGET, 10**12) == omega_extrapolate(model, 10**12) == 166666666670
+        assert omega(MCNUGGET, 2**63 - 1) == omega_extrapolate(model, 2**63 - 1)
+
+    def test_huge_scan_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(Int64Overflow):
+                dynamic_bullets(MCNUGGET, 10**12)
+            with pytest.raises(Int64Overflow):
+                omega_up_to(MCNUGGET, 10**12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_packed_key_bound(self):
+        # the largest <6,9,20> target whose keys fit: v <= n + 63 < 2**33 and
+        # a length of 30 bits; one more and the lengths need 31 bits
+        n = 6_442_450_880
+        assert next(_scan(MCNUGGET, n))[0] == -43
+        with pytest.raises(Int64Overflow):
+            next(_scan(MCNUGGET, n + 1))
+
     def test_naturals(self):
         N = NumericalMonoid([1])
         assert omega(N, 7) == 7
@@ -188,9 +216,11 @@ class TestQuasilinearModel:
 
     def test_offsets_describe_omega(self):
         model = quasilinear_model(MCNUGGET)
+        # the scan, not omega: past 116 omega answers from this model
+        scanned = omega_up_to(MCNUGGET, 399, domain="quotient")
         for n in range(105, 400):
             expected = Fraction(n, 6) + model.offsets[n % 6]
-            assert omega(MCNUGGET, n) == expected
+            assert scanned[n] == expected
 
     def test_step_relation_past_threshold(self):
         S = NumericalMonoid([10, 12, 15])
@@ -214,7 +244,8 @@ class TestQuasilinearModel:
     def test_extrapolation_agrees_with_direct(self):
         S = NumericalMonoid([11, 13, 15])
         model = quasilinear_model(S)
-        assert omega_extrapolate(model, 3000) == omega(S, 3000) == 279
+        direct = max(length for _, length in dynamic_bullets(S, 3000))
+        assert omega_extrapolate(model, 3000) == omega(S, 3000) == direct == 279
 
     def test_extrapolation_zero_step(self):
         model = quasilinear_model(MCNUGGET)

@@ -1,6 +1,8 @@
 """Randomized invariants over small random monoids."""
 
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,10 +20,11 @@ from numfac import (
     length_set,
     max_length,
     omega,
+    quasilinear_model,
 )
 from numfac.delta import _deltas_up_to, _mask_gaps
 from numfac.factorization import _length_masks_up_to, _mask_to_lengths, _window_scan
-from numfac.omega import _scan
+from numfac.omega import _scan, _threshold
 
 # small coprime generating sets keep the brute-force oracles fast
 gen_sets = st.lists(st.integers(2, 30), min_size=2, max_size=4).filter(
@@ -230,3 +233,76 @@ def test_dynamic_bullets_are_the_longest_bullet_per_value(gens):
         assert entries[x] == longest
     for x in (min(-S.frobenius, 0), 0, cap):
         assert dict(dynamic_bullets(S, x)) == entries[x]
+
+
+def _lexsort_step(gap, steps, nk, m, preds):
+    # the omega step before packed keys: (values, lengths) pairs of arrays,
+    # one lexsort by (value, length) and the last pair of each value run
+    vs, ls = zip(*preds)
+    v = np.concatenate(vs)
+    l = np.concatenate(ls)
+    moved = gap[v - (m - nk)]
+    v += np.repeat(steps, [len(p) for p in vs]) * moved
+    l += moved
+    order = np.lexsort((l, v))
+    v = v[order]
+    l = l[order]
+    last = np.empty(len(v), dtype=bool)
+    last[-1] = True
+    last[:-1] = v[1:] != v[:-1]
+    return v[last], l[last]
+
+
+def _assert_matches_lexsort(S, n):
+    nk = S.generators[-1]
+    gap = np.concatenate((np.ones(nk, dtype=bool), ~S._table, np.zeros(nk, dtype=bool)))
+    step = functools.partial(_lexsort_step, gap, np.array(S.generators, dtype=np.int64), nk)
+    zero = np.zeros(1, dtype=np.int64)
+    reference = _window_scan(S.generators, min(-S.frobenius, 0), n, (zero, zero), step)
+    for (m, (v, l)), (m_ref, (v_ref, l_ref)) in zip(_scan(S, n), reference, strict=True):
+        assert m == m_ref
+        assert v.dtype == l.dtype == np.int64
+        assert v.tolist() == v_ref.tolist() and l.tolist() == l_ref.tolist()
+
+
+@given(gen_sets)
+@example([1])
+@example([1, 2])
+@settings(max_examples=30, deadline=None)
+def test_packed_step_matches_lexsort(gens):
+    S = NumericalMonoid(gens)
+    _assert_matches_lexsort(S, min(2 * S.frobenius + 20, 150))
+
+
+@pytest.mark.parametrize("gens, n", [
+    ((6, 9, 20), 300),
+    ((11, 13, 15), 300),
+    ((15, 27, 32, 35), 300),
+    ((10, 12, 15), 300),
+    ((10, 12, 15, 16, 17), 300),
+    ((10, 12, 13, 14, 15, 16, 17, 18, 19, 21), 300),
+    ((100, 121, 142, 163, 284), 0),  # F(S) = 5279: the scan starts at -5279
+])
+def test_packed_step_matches_lexsort_on_omega_mix(gens, n):
+    _assert_matches_lexsort(NumericalMonoid(gens), n)
+
+
+@given(gen_sets)
+@example([6, 9, 20])
+@settings(max_examples=25, deadline=None)
+def test_omega_model_route_matches_scan(gens):
+    # omega answers from the quasilinear model past N0 + 2 * n1 and scans
+    # below; both must equal the largest dynamic-bullet length, the scan's
+    S = NumericalMonoid(gens)
+    n1 = S.generators[0]
+    N0 = _threshold(S)
+    top = N0 + 5 * n1
+    # the 2 * n1 answers below the margin scan about top + F(S) elements each
+    assume(n1 * (top + S.frobenius) <= 20_000)
+    scanned = {m: int(lengths.max()) for m, (_, lengths) in _scan(S, top)}
+    # one model for the 3 * n1 answers past the margin, not one each
+    with mock.patch("numfac.omega.quasilinear_model", functools.cache(quasilinear_model)):
+        for n in range(N0 + 1, top + 1):
+            assert omega(S, n) == scanned[n]
+    for n in (N0 + 2 * n1, N0 + 2 * n1 + 1, top):  # both sides of the route
+        assert max(length for _, length in dynamic_bullets(S, n)) == scanned[n]
