@@ -19,11 +19,12 @@ keeps its order.
 
 Length sets satisfy the same recurrence with "append e_i" replaced by
 "+1", which is why they can be scanned without ever materializing a
-factorization.  One ring-buffer loop, ``_window_scan``, drives both
-and omega's dynamic bullets: it keeps only the last nk results, so
-memory stays proportional to the window, not to the target, and each
-scan is just its step.  Membership comes from the recurrence itself:
-m > 0 lies in S iff some m - ni does, so an empty union marks a gap.
+factorization.  One ring-buffer loop, ``_window_scan``, drives both: it
+keeps only the last nk results, so memory stays proportional to the
+window, not to the target, and each scan is just its step.  (omega's
+dynamic bullets run their own loop, a block of n1 elements per step.)
+Membership comes from the recurrence itself: m > 0 lies in S iff some
+m - ni does, so an empty union marks a gap.
 
 Length sets are stored internally as integer bitmasks (bit l set iff l
 is an attainable length); shifting a mask left by one adds 1 to every

@@ -13,16 +13,16 @@ Three independent routes to the same numbers live here:
     one pair per value, the longest).  The entry for m is obtained by
     pushing every pair of the entries for m - ni through the cover map:
     a pair (v, l) survives unchanged when v - m is in S and otherwise
-    becomes (v + ni, l + 1), all k entries in one vectorized step.  The
-    scan packs each pair into one int64 key (v << bits) | l, so the step
-    is one concatenation, one add on the moved keys and one in-place
-    sort; a target whose keys would not fit in 63 bits is refused with
-    Int64Overflow.  Every integer below -F(S) has the constant entry
-    {(0, 0)}, which lets the scan start at min(-F(S), 0).  Only the step
-    lives here; it runs in ``factorization._window_scan``, the one
-    ring-buffer loop of Z and L too, which yields each entry as it goes.
-    omega(m) is its largest length, and ``dynamic_bullets``,
-    ``omega_up_to`` and ``quasilinear_model`` read it off that stream.
+    becomes (v + ni, l + 1).  Every m - ni lies at or below m - n1, so
+    the n1 entries of a block [M, M + n1) depend only on entries below
+    M, and the scan computes a whole block in one vectorized step: the
+    k slices of predecessor pairs, packed as int64 keys, one add on the
+    moved keys and one in-place sort.  A target whose keys would not fit
+    in 63 bits is refused with Int64Overflow.  Every integer below
+    -F(S) has the constant entry {(0, 0)}, which lets the scan start at
+    min(-F(S), 0).  omega(m) is the largest length of its entry, and
+    ``dynamic_bullets``, ``omega_up_to`` and ``quasilinear_model`` read
+    it off the block stream.
   * ``bullets_brute_force`` enumerates exponent vectors directly and
     filters by the two bullet conditions.  Values never exceed
     x + F(S) + nk, which bounds the enumeration.
@@ -45,13 +45,15 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import BelowThreshold, Int64Overflow, TargetBelowBase
-from .factorization import _final, _grid_budget, _sorted_grid, _window_scan
+from .factorization import _grid_budget, _sorted_grid
 from .monoid import NumericalMonoid, require_i64
 
 __all__ = [
@@ -66,64 +68,156 @@ __all__ = [
 ]
 
 
-def _scan(monoid, n):
-    """Yield (m, entry) for every integer m in [min(-F(S), 0), n], ascending.
+def _blocks(monoid, n):
+    """Yield (M, offsets, values, lengths) for the blocks [M, M + n1) of a scan to n.
 
-    The entry is the pair of arrays (values, lengths) of the dynamic
-    bullets of m, sorted by value; omega(m) = lengths.max().  Its size is
-    bounded for fixed S, which is what makes the scan linear.
+    Blocks start at min(-F(S), 0); the last one stops at n.  The entry
+    of M + s is values[offsets[s]:offsets[s + 1]] with its lengths.
 
-    Inside the scan a pair (v, l) is one int64 key (v << bits) | l.  A
-    bullet of m has v <= m + F(S) + nk and l <= v / n1, so ``bits`` holds
-    every length up to the target, and the keys of an entry sort by value
-    first and length second.  One step covers all k generators at once:
-    the keys at m - ni are concatenated, one gather from a byte table
-    over the offsets v - m in [-nk, F(S) + nk] marks the pairs that move
-    by (ni, 1), which adds (ni << bits) + 1 to their keys, and after one
-    in-place sort the last key of each value run is the longest pair.
-    A target whose keys would not fit in 63 bits raises Int64Overflow
-    before anything is built.
+    Every predecessor m - ni of a block lies below its start M, so one
+    step computes all n1 entries of a block.  The window holds the
+    packed keys of the entries of [M - nk, M) in one flat array with
+    nk + 1 offsets; the predecessors of the block along ni are then the
+    one slice of entries [M - ni, M - ni + n1).  Each slice is rewritten
+    into one preallocated array as block keys (s << rel) | ((v - M) << bits) | l,
+    where s is the block index of the entry it feeds; a byte table over
+    the offsets v - m in [-nk, F(S) + nk] marks the pairs that move by
+    (ni, 1).  One in-place sort groups the keys by entry and value, the
+    last key of each (s, v) run is the longest pair, and one
+    ``searchsorted`` finds the n1 + 1 offsets.
+
+    In the window a bullet (v, l) is the int64 key (v << bits) | l.  A
+    bullet of m has v <= m + F(S) + nk and l <= v / n1, so ``bits``
+    holds every length up to the target and the keys of an entry sort
+    by value first and length second.  A target whose keys would not
+    fit in 63 bits raises Int64Overflow before anything is built.
     """
     n = require_i64(n, "target")
     gens = monoid.generators
-    nk = gens[-1]
+    n1, nk = gens[0], gens[-1]
     # F(S) = -1 for the naturals <1>; starting at 0 there keeps every
     # non-negative target in range
     base = min(-monoid.frobenius, 0)
     if n < base:
         raise TargetBelowBase(f"scan target {n} is below the base case {base}")
     top = n + monoid.frobenius + nk  # the largest bullet value of the scan
-    bits = (top // gens[0]).bit_length()
+    bits = (top // n1).bit_length()
     if top.bit_length() + bits > 63:  # top >= 2**(63 - bits)
         raise Int64Overflow(f"scan target {n} does not fit in packed 64-bit bullet keys")
+    # Block keys: a bullet of m = M + s has v - M in [s, s + F(S) + nk], so
+    # they need n1.bit_length() + rel bits.  If top has at least
+    # n1.bit_length() + (n1 + F(S) + nk).bit_length() bits, that is at most
+    # the top.bit_length() + bits checked above; otherwise bits <=
+    # (n1 + F(S) + nk).bit_length().  So the check below never binds first
+    # on a monoid with n1.bit_length() + 2 * (n1 + F(S) + nk).bit_length()
+    # <= 63, as on every one with n1 + F(S) + nk < 2**21; past that, only
+    # huge targets are refused here.
+    rel = (n1 + monoid.frobenius + nk).bit_length() + bits
+    if n1.bit_length() + rel > 63:
+        raise Int64Overflow(f"scan target {n} does not fit in packed 64-bit block keys")
 
-    # gap[y + nk] is True iff the offset y in [-nk, F(S) + nk] lies outside S
+    # gap[y + nk] is True iff the offset y in [-nk, F(S) + nk] lies outside S;
+    # a pair (v, l) of p = m - g moves iff gap[nk - g:][v - p] is True
     gap = np.concatenate((np.ones(nk, dtype=bool), ~monoid._table, np.zeros(nk, dtype=bool)))
-    moves = np.array([(g << bits) + 1 for g in gens], dtype=np.int64)
+    lanes = [(g << rel, (g << bits) + 1, gap[nk - g:]) for g in gens]
+    k = len(gens)
+    # the window entries of [M - g, M - g + n1) are the slots nk - g, ...
+    firsts = nk - np.array(gens)
+    slots = np.concatenate((firsts, firsts + n1))
+    behind = np.arange(-nk, 0)  # p - M for the window entries of [M - nk, M)
+    out = np.empty(0, dtype=np.int64)
 
-    def step(m, preds):
-        key = np.concatenate(preds)
-        key += moves.repeat([len(p) for p in preds]) * gap[(key >> bits) - (m - nk)]
-        key.sort()
-        v = key >> bits
-        last = np.empty(len(key), dtype=bool)
-        last[-1] = True
-        last[:-1] = v[1:] != v[:-1]
-        return key[last]
+    def fill(M, keys, offsets):
+        # the block key of every pair of the block's predecessors, moved, in
+        # out; a function of its own, so its window temporaries are freed
+        # before the sort
+        nonlocal out
+        bounds = offsets[slots].tolist()
+        size = sum(bounds[k:]) - sum(bounds[:k])
+        if len(out) < size:
+            out = np.empty(size + size // 2, dtype=np.int64)
+        p = behind.repeat(offsets[1:] - offsets[:-1])
+        low = keys - (M << bits)  # ((v - M) << bits) + l
+        rise = low >> bits
+        rise -= p  # v - p
+        p <<= rel
+        low += p  # the block key along g, less g << rel
+        at = 0
+        for (shift, move, gaps), lo, hi in zip(lanes, bounds, bounds[k:]):
+            part = out[at:at + hi - lo]
+            np.add(low[lo:hi], shift, out=part)
+            part += gaps[rise[lo:hi]] * move
+            at += hi - lo
+        return out[:size]
 
-    # every entry below the base is {(0, 0)}, the key 0
+    tags = np.arange(n1 + 1, dtype=np.int64) << rel
+    lows = (1 << rel) - 1
     lengths = (1 << bits) - 1
-    for m, key in _window_scan(gens, base, n, np.zeros(1, dtype=np.int64), step):
-        yield m, (key >> bits, key & lengths)
+    # every entry below the base is {(0, 0)}, the key 0
+    keys = np.zeros(nk, dtype=np.int64)
+    offsets = np.arange(nk + 1)
+    for M in range(base, n + 1, n1):
+        width = min(n1, n + 1 - M)
+        if width < n1:  # the last block stops at n
+            slots = np.concatenate((firsts, firsts + width))
+        key = fill(M, keys, offsets)
+        key.sort()
+        kept = _run_ends(key, bits)
+        block = kept.searchsorted(tags[:width + 1])
+        kept &= lows
+        kept += M << bits
+        yield M, block, kept >> bits, kept & lengths
+
+        cut = offsets[width]
+        keys = np.concatenate((keys[cut:], kept))
+        offsets = np.concatenate((offsets[width:] - cut, block[1:] + (offsets[-1] - cut)))
+
+
+def _run_ends(key, bits):
+    """The last key of each run of equal key >> bits in a sorted key array.
+
+    A function of its own, so its temporaries are freed before the next
+    block is filled.
+    """
+    run = key >> bits
+    last = np.empty(len(key), dtype=bool)
+    last[-1] = True
+    np.not_equal(run[1:], run[:-1], out=last[:-1])
+    return key.compress(last)
+
+
+def _scan(monoid, n):
+    """Yield (m, entry) for every integer m in [min(-F(S), 0), n], ascending.
+
+    The entry is the pair of arrays (values, lengths) of the dynamic
+    bullets of m, sorted by value; omega(m) = lengths.max().  Its size is
+    bounded for fixed S, which is what makes the scan linear.  This is
+    the per-element view of ``_blocks``; a target whose packed keys
+    would not fit in 63 bits raises Int64Overflow before anything is
+    built.
+    """
+    for M, offsets, values, lengths in _blocks(monoid, n):
+        bounds = offsets.tolist()
+        for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            yield M + s, (values[lo:hi], lengths[lo:hi])
+
+
+def _omega_blocks(monoid, n):
+    """Yield (M, omegas) with omegas[s] = omega(M + s), block by block."""
+    for M, offsets, _, lengths in _blocks(monoid, n):
+        yield M, np.maximum.reduceat(lengths, offsets[:-1])
 
 
 def _omegas(monoid, n, domain):
     """Yield (m, omega(m)) over the domain of ``omega_up_to``, ascending."""
     if domain not in ("monoid", "quotient"):
         raise ValueError(f"domain must be 'monoid' or 'quotient', got {domain!r}")
-    for m, (_, lengths) in _scan(monoid, n):
-        if domain == "quotient" or monoid.contains(m):
-            yield m, int(lengths.max())
+    for M, omegas in _omega_blocks(monoid, n):
+        m = np.arange(M, M + len(omegas))
+        if domain == "monoid":
+            inside = monoid.contains_array(m)
+            m, omegas = m[inside], omegas[inside]
+        yield from zip(m.tolist(), omegas.tolist())
 
 
 def omega_up_to(monoid: NumericalMonoid, n, domain="monoid"):
@@ -165,8 +259,9 @@ def dynamic_bullets(monoid: NumericalMonoid, n):
     n = require_i64(n, "target")
     if n < -monoid.frobenius:
         return ((0, 0),)
-    values, lengths = _final(_scan(monoid, n))
-    return tuple(zip(values.tolist(), lengths.tolist()))
+    _, offsets, values, lengths = deque(_blocks(monoid, n), maxlen=1)[0]
+    last = offsets[-2]
+    return tuple(zip(values[last:].tolist(), lengths[last:].tolist()))
 
 
 def _zero_bullet(monoid):
@@ -259,6 +354,7 @@ def _threshold(monoid):
     return -((monoid.frobenius + n2) * n1 // -(n2 - n1))
 
 
+@lru_cache(maxsize=64)
 def quasilinear_model(monoid: NumericalMonoid):
     """Fit the exact eventual quasilinear form of omega on S.
 
@@ -266,6 +362,8 @@ def quasilinear_model(monoid: NumericalMonoid):
     rational offset per residue class off the top of the window, and
     locates the empirical start of the omega(n) = omega(n - n1) + 1
     recurrence in both the quotient-group and monoid-only readings.
+    The model is memoized per monoid, so ``omega`` past the threshold
+    scans once per monoid, not once per call.
     """
     gens = monoid.generators
     if len(gens) < 2:
@@ -275,7 +373,9 @@ def quasilinear_model(monoid: NumericalMonoid):
     top = threshold + 2 * n1
     base = min(-monoid.frobenius, 0)
     # omega(m) at index m - base, in an array to keep the peak memory low
-    w = np.fromiter((v for _, v in _omegas(monoid, top, "quotient")), dtype=np.int64)
+    w = np.empty(top - base + 1, dtype=np.int64)
+    for M, omegas in _omega_blocks(monoid, top):
+        w[M - base:M - base + len(omegas)] = omegas
     # one anchor per residue class mod n1, each in (threshold, threshold + n1]
     anchors = [(m0, int(w[m0 - base]))
                for m0 in (threshold + 1 + (r - threshold - 1) % n1 for r in range(n1))]

@@ -79,15 +79,22 @@ def length_consistency(monoid: NumericalMonoid, limit):
 
 
 def _is_antichain(bullets):
-    rows = np.array(sorted(bullets), dtype=np.int64)
-    if len(rows) < 2:
-        return True
-    # dominated[a, b]: row a <= row b in every coordinate
-    dominated = np.ones((len(rows), len(rows)), dtype=bool)
-    for col in rows.T:
-        dominated &= col[:, None] <= col[None, :]
-    np.fill_diagonal(dominated, False)
-    return not dominated.any()
+    """True iff no bullet lies coordinatewise at or below another.
+
+    A bullet below another has a strictly smaller total length, so once
+    the bullets are sorted by total each is compared only with the ones
+    after it, 128 rows at a time.
+    """
+    rows = np.array(sorted(bullets, key=sum), dtype=np.int64)
+    for lo in range(0, len(rows) - 1, 128):
+        # below[i, j]: row lo + i <= row lo + j in every coordinate
+        below = np.ones((min(128, len(rows) - lo), len(rows) - lo), dtype=bool)
+        for col in rows[lo:].T:
+            below &= col[:128, None] <= col
+        np.fill_diagonal(below, False)
+        if below.any():
+            return False
+    return True
 
 
 def omega_triple_equivalence(monoid: NumericalMonoid, x_max):

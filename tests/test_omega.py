@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +17,7 @@ from numfac import (
     omega_up_to,
     quasilinear_model,
 )
-from numfac.omega import _scan
+from numfac.omega import _blocks, _scan
 
 MCNUGGET = NumericalMonoid([6, 9, 20])
 
@@ -195,6 +196,18 @@ class TestOmega:
         with pytest.raises(Int64Overflow):
             next(_scan(MCNUGGET, n + 1))
 
+    def test_block_key_bound(self):
+        # a monoid whose membership table would take 470 MB: only its
+        # generators and F(S) are read before the block keys are sized.
+        # At this target the window keys need 33 + 30 bits, and the block
+        # keys 4 bits of entry index and 30 of value offset besides the 30
+        # of length, so the scan is refused before anything is built
+        S = SimpleNamespace(generators=(8, 67108865), frobenius=469762047)
+        top = 2**32
+        assert top.bit_length() + (top // 8).bit_length() == 63
+        with pytest.raises(Int64Overflow, match="block keys"):
+            next(_blocks(S, top - S.frobenius - S.generators[-1]))
+
     def test_naturals(self):
         N = NumericalMonoid([1])
         assert omega(N, 7) == 7
@@ -256,6 +269,23 @@ class TestQuasilinearModel:
         model = quasilinear_model(MCNUGGET)
         with pytest.raises(BelowThreshold):
             omega_extrapolate(model, model.threshold)
+
+    def test_model_is_memoized_per_monoid(self):
+        assert quasilinear_model(NumericalMonoid([9, 6, 20])) is quasilinear_model(MCNUGGET)
+
+    def test_model_scan_memory(self):
+        # the block scan keeps its window, one key array and the n-long
+        # omega array of the model: about 2.4 MiB here
+        S = NumericalMonoid([100, 121, 142, 163, 284])
+        quasilinear_model.cache_clear()
+        tracemalloc.start()
+        try:
+            model = quasilinear_model(S)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.threshold == 25715
+        assert peak < 4 * 2**20
 
     def test_needs_two_generators(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 """Randomized invariants over small random monoids."""
 
 import functools
+import itertools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,11 +20,12 @@ from numfac import (
     length_set,
     max_length,
     omega,
-    quasilinear_model,
+    omega_up_to,
 )
 from numfac.delta import _deltas_up_to, _mask_gaps
 from numfac.factorization import _length_masks_up_to, _mask_to_lengths, _window_scan
 from numfac.omega import _scan, _threshold
+from numfac.verify import _is_antichain
 
 # small coprime generating sets keep the brute-force oracles fast
 gen_sets = st.lists(st.integers(2, 30), min_size=2, max_size=4).filter(
@@ -253,13 +254,16 @@ def _lexsort_step(gap, steps, nk, m, preds):
     return v[last], l[last]
 
 
-def _assert_matches_lexsort(S, n):
+def _lexsort_scan(S, n):
     nk = S.generators[-1]
     gap = np.concatenate((np.ones(nk, dtype=bool), ~S._table, np.zeros(nk, dtype=bool)))
     step = functools.partial(_lexsort_step, gap, np.array(S.generators, dtype=np.int64), nk)
     zero = np.zeros(1, dtype=np.int64)
-    reference = _window_scan(S.generators, min(-S.frobenius, 0), n, (zero, zero), step)
-    for (m, (v, l)), (m_ref, (v_ref, l_ref)) in zip(_scan(S, n), reference, strict=True):
+    return _window_scan(S.generators, min(-S.frobenius, 0), n, (zero, zero), step)
+
+
+def _assert_matches_lexsort(S, n):
+    for (m, (v, l)), (m_ref, (v_ref, l_ref)) in zip(_scan(S, n), _lexsort_scan(S, n), strict=True):
         assert m == m_ref
         assert v.dtype == l.dtype == np.int64
         assert v.tolist() == v_ref.tolist() and l.tolist() == l_ref.tolist()
@@ -287,6 +291,35 @@ def test_packed_step_matches_lexsort_on_omega_mix(gens, n):
     _assert_matches_lexsort(NumericalMonoid(gens), n)
 
 
+def _assert_block_boundaries(S):
+    # the block scan cuts its last block at the target, so every target
+    # from the base to past the third block boundary is its own case
+    n1 = S.generators[0]
+    base = min(-S.frobenius, 0)
+    reference = [(m, v.tolist(), l.tolist())
+                 for m, (v, l) in _lexsort_scan(S, base + 3 * n1 + 1)]
+    for n in range(base, base + 3 * n1 + 2):
+        entries = [(m, v.tolist(), l.tolist()) for m, (v, l) in _scan(S, n)]
+        assert entries == reference[:n - base + 1]
+        quotient = omega_up_to(S, n, "quotient")
+        assert quotient == {m: max(l) for m, _, l in entries}
+        assert omega_up_to(S, n, "monoid") == {m: w for m, w in quotient.items()
+                                               if S.contains(m)}
+        _, values, lengths = entries[-1]
+        assert dynamic_bullets(S, n) == tuple(zip(values, lengths))
+
+
+@given(gen_sets)
+@settings(max_examples=25, deadline=None)
+def test_block_scan_matches_lexsort_at_every_cut(gens):
+    _assert_block_boundaries(NumericalMonoid(gens))
+
+
+@pytest.mark.parametrize("gens", [(1,), (2, 3), (6, 9, 20), (100, 121, 142, 163, 284)])
+def test_block_scan_matches_lexsort_at_every_cut_on_fixed_monoids(gens):
+    _assert_block_boundaries(NumericalMonoid(gens))
+
+
 @given(gen_sets)
 @example([6, 9, 20])
 @settings(max_examples=25, deadline=None)
@@ -300,9 +333,46 @@ def test_omega_model_route_matches_scan(gens):
     # the 2 * n1 answers below the margin scan about top + F(S) elements each
     assume(n1 * (top + S.frobenius) <= 20_000)
     scanned = {m: int(lengths.max()) for m, (_, lengths) in _scan(S, top)}
-    # one model for the 3 * n1 answers past the margin, not one each
-    with mock.patch("numfac.omega.quasilinear_model", functools.cache(quasilinear_model)):
-        for n in range(N0 + 1, top + 1):
-            assert omega(S, n) == scanned[n]
+    # the 3 * n1 answers past the margin share one memoized model
+    for n in range(N0 + 1, top + 1):
+        assert omega(S, n) == scanned[n]
     for n in (N0 + 2 * n1, N0 + 2 * n1 + 1, top):  # both sides of the route
         assert max(length for _, length in dynamic_bullets(S, n)) == scanned[n]
+
+
+def _quadratic_antichain(bullets):
+    # the antichain test before sorting by total: one (b, b) mask
+    rows = np.array(sorted(bullets), dtype=np.int64)
+    if len(rows) < 2:
+        return True
+    # dominated[a, b]: row a <= row b in every coordinate
+    dominated = np.ones((len(rows), len(rows)), dtype=bool)
+    for col in rows.T:
+        dominated &= col[:, None] <= col[None, :]
+    np.fill_diagonal(dominated, False)
+    return not dominated.any()
+
+
+@st.composite
+def bullet_sets(draw):
+    # part of the antichain of all k-tuples of total t (up to 455 rows, so
+    # more than one 128-row chunk), plus up to 40 other tuples
+    k = draw(st.integers(1, 4))
+    t = draw(st.integers(0, 12))
+    rng = draw(st.randoms(use_true_random=False))
+    share = draw(st.floats(0, 1))
+    # stars and bars: k - 1 bars among t + k - 1 places
+    level = {tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, t + k - 1)))
+             for bars in itertools.combinations(range(t + k - 1), k - 1)
+             if rng.random() < share}
+    return level | draw(st.sets(st.tuples(*[st.integers(0, t + 1)] * k), max_size=40))
+
+
+@given(bullet_sets())
+@example({(0, 1), (1, 0)})
+@example({(0, 1), (1, 1)})
+# the only dominated row is the first of the second chunk
+@example({(i, 300 - i) for i in range(128)} | {(200, 101), (200, 102)})
+@settings(max_examples=150, deadline=None)
+def test_antichain_matches_quadratic_mask(bullets):
+    assert _is_antichain(bullets) == _quadratic_antichain(bullets)
