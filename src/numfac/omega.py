@@ -20,9 +20,10 @@ Three independent routes to the same numbers live here:
     moved keys and one in-place sort.  A target whose keys would not fit
     in 63 bits is refused with Int64Overflow.  Every integer below
     -F(S) has the constant entry {(0, 0)}, which lets the scan start at
-    min(-F(S), 0).  omega(m) is the largest length of its entry, and
-    ``dynamic_bullets``, ``omega_up_to`` and ``quasilinear_model`` read
-    it off the block stream.
+    min(-F(S), 0).  omega(m) is the largest length of its entry;
+    ``omega_up_to`` and ``quasilinear_model`` read it off the block
+    stream, and ``dynamic_bullets`` takes the last entry of its
+    per-element view.
   * ``bullets_brute_force`` enumerates exponent vectors directly and
     filters by the two bullet conditions.  Values never exceed
     x + F(S) + nk, which bounds the enumeration.
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -53,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BelowThreshold, Int64Overflow, TargetBelowBase
-from .factorization import _grid_budget, _sorted_grid
+from .factorization import _final, _grid_budget, _sorted_grid
 from .monoid import NumericalMonoid, require_i64
 
 __all__ = [
@@ -75,22 +75,27 @@ def _blocks(monoid, n):
     of M + s is values[offsets[s]:offsets[s + 1]] with its lengths.
 
     Every predecessor m - ni of a block lies below its start M, so one
-    step computes all n1 entries of a block.  The window holds the
-    packed keys of the entries of [M - nk, M) in one flat array with
-    nk + 1 offsets; the predecessors of the block along ni are then the
-    one slice of entries [M - ni, M - ni + n1).  Each slice is rewritten
-    into one preallocated array as block keys (s << rel) | ((v - M) << bits) | l,
-    where s is the block index of the entry it feeds; a byte table over
-    the offsets v - m in [-nk, F(S) + nk] marks the pairs that move by
-    (ni, 1).  One in-place sort groups the keys by entry and value, the
-    last key of each (s, v) run is the longest pair, and one
-    ``searchsorted`` finds the n1 + 1 offsets.
+    step computes all n1 entries of a block.  The window holds the pairs
+    of the entries of [M - nk, M) in one flat array, entry after entry:
+    a pair (v, l) of p as the key ((v - p) << bits) | l.  The
+    predecessors of the block along ni are then the one slice of entries
+    [M - ni, M - ni + n1).  Each slice is rewritten into one
+    preallocated array as block keys (s << rel) | ((v - m) << bits) | l
+    of m = M + s; a byte table over the offsets v - m in
+    [-nk, F(S) + nk] marks the pairs that move by (ni, 1).  One in-place
+    sort groups the keys by entry and value, the last key of each (s, v)
+    run is the longest pair, and one ``searchsorted`` finds the n1 + 1
+    offsets.  The block's pairs are then written after the window, which
+    moves its live part to the front only when it is full, so a block
+    costs the pairs of its entries and of their predecessors, whatever
+    nk is.
 
-    In the window a bullet (v, l) is the int64 key (v << bits) | l.  A
-    bullet of m has v <= m + F(S) + nk and l <= v / n1, so ``bits``
-    holds every length up to the target and the keys of an entry sort
-    by value first and length second.  A target whose keys would not
-    fit in 63 bits raises Int64Overflow before anything is built.
+    A bullet (v, l) of m has m <= v <= m + F(S) + nk and l <= v / n1, so
+    ``bits`` holds every length up to the target.  The scan admits a
+    target only while (v << bits) | l fits in 63 bits for every bullet,
+    the packed-key bound that ``omega_up_to`` documents; past it, and
+    past the bound of the block keys, it raises Int64Overflow before
+    anything is built.
     """
     n = require_i64(n, "target")
     gens = monoid.generators
@@ -104,86 +109,110 @@ def _blocks(monoid, n):
     bits = (top // n1).bit_length()
     if top.bit_length() + bits > 63:  # top >= 2**(63 - bits)
         raise Int64Overflow(f"scan target {n} does not fit in packed 64-bit bullet keys")
-    # Block keys: a bullet of m = M + s has v - M in [s, s + F(S) + nk], so
-    # they need n1.bit_length() + rel bits.  If top has at least
-    # n1.bit_length() + (n1 + F(S) + nk).bit_length() bits, that is at most
-    # the top.bit_length() + bits checked above; otherwise bits <=
-    # (n1 + F(S) + nk).bit_length().  So the check below never binds first
-    # on a monoid with n1.bit_length() + 2 * (n1 + F(S) + nk).bit_length()
-    # <= 63, as on every one with n1 + F(S) + nk < 2**21; past that, only
-    # huge targets are refused here.
-    rel = (n1 + monoid.frobenius + nk).bit_length() + bits
+    # A block key has s < n1 and v - m in [0, F(S) + nk], so it lies in
+    # [0, n1 << rel), which the check below keeps in 63 bits.  The block
+    # step adds s << rel, taken from ``tags``, to terms below 2**(rel + 1)
+    # in size, so it never leaves int64.  With R = (F(S) + nk).bit_length(),
+    # the check never binds before the one above: if top has at least
+    # n1.bit_length() + R bits, the block keys need at most the
+    # top.bit_length() + bits checked there; otherwise
+    # top < 2**(n1.bit_length() + R - 1), so bits <= R and the block keys
+    # need at most n1.bit_length() + 2 * R bits.  Since n1 <= F(S) + nk
+    # on every monoid but <1>, that is at most 63 whenever
+    # F(S) + nk < 2**21.  On an admitted monoid past that (F(S) up to 5e8,
+    # n1 up to 5e7) the check may refuse targets the one above admits.
+    rel = (monoid.frobenius + nk).bit_length() + bits
     if n1.bit_length() + rel > 63:
         raise Int64Overflow(f"scan target {n} does not fit in packed 64-bit block keys")
 
     # gap[y + nk] is True iff the offset y in [-nk, F(S) + nk] lies outside S;
-    # a pair (v, l) of p = m - g moves iff gap[nk - g:][v - p] is True
+    # a pair (v, l) of p = m - g moves iff gap[nk - g:][v - p] is True.  A
+    # pair that stays has v - m = v - p - g; one that moves, v + g - m = v - p
     gap = np.concatenate((np.ones(nk, dtype=bool), ~monoid._table, np.zeros(nk, dtype=bool)))
-    lanes = [(g << rel, (g << bits) + 1, gap[nk - g:]) for g in gens]
-    k = len(gens)
-    # the window entries of [M - g, M - g + n1) are the slots nk - g, ...
-    firsts = nk - np.array(gens)
-    slots = np.concatenate((firsts, firsts + n1))
-    behind = np.arange(-nk, 0)  # p - M for the window entries of [M - nk, M)
-    out = np.empty(0, dtype=np.int64)
-
-    def fill(M, keys, offsets):
-        # the block key of every pair of the block's predecessors, moved, in
-        # out; a function of its own, so its window temporaries are freed
-        # before the sort
-        nonlocal out
-        bounds = offsets[slots].tolist()
-        size = sum(bounds[k:]) - sum(bounds[:k])
-        if len(out) < size:
-            out = np.empty(size + size // 2, dtype=np.int64)
-        p = behind.repeat(offsets[1:] - offsets[:-1])
-        low = keys - (M << bits)  # ((v - M) << bits) + l
-        rise = low >> bits
-        rise -= p  # v - p
-        p <<= rel
-        low += p  # the block key along g, less g << rel
-        at = 0
-        for (shift, move, gaps), lo, hi in zip(lanes, bounds, bounds[k:]):
-            part = out[at:at + hi - lo]
-            np.add(low[lo:hi], shift, out=part)
-            part += gaps[rise[lo:hi]] * move
-            at += hi - lo
-        return out[:size]
-
+    lanes = [(-(g << bits), gap[nk - g:]) for g in gens]
+    # the window entries of [M - g, M - g + n1) are the slots grid[i] for
+    # g = gens[i]; their pairs start at offsets[first + grid[i]]
+    grid = (nk - np.array(gens))[:, None] + np.arange(n1 + 1)
     tags = np.arange(n1 + 1, dtype=np.int64) << rel
     lows = (1 << rel) - 1
     lengths = (1 << bits) - 1
-    # every entry below the base is {(0, 0)}, the key 0
-    keys = np.zeros(nk, dtype=np.int64)
-    offsets = np.arange(nk + 1)
-    for M in range(base, n + 1, n1):
-        width = min(n1, n + 1 - M)
-        if width < n1:  # the last block stops at n
-            slots = np.concatenate((firsts, firsts + width))
-        key = fill(M, keys, offsets)
-        key.sort()
-        kept = _run_ends(key, bits)
-        block = kept.searchsorted(tags[:width + 1])
-        kept &= lows
-        kept += M << bits
-        yield M, block, kept >> bits, kept & lengths
 
-        cut = offsets[width]
-        keys = np.concatenate((keys[cut:], kept))
-        offsets = np.concatenate((offsets[width:] - cut, block[1:] + (offsets[-1] - cut)))
+    # the window entry of [M - nk, M) in slot j holds the pair keys
+    # pairs[offsets[first + j]:offsets[first + j + 1]]; every entry below
+    # the base is {(0, 0)}, so the pair of p has v - p = -p
+    pairs = -np.arange(base - nk, base) << bits
+    offsets = np.empty(2 * nk + n1 + 4096, dtype=np.int64)
+    offsets[:nk + 1] = np.arange(nk + 1)
+    first = 0
+    key = np.empty(0, dtype=np.int64)
+    for M in range(base, n + 1, n1):
+        width = min(n1, n + 1 - M)  # the last block stops at n
+        ends = offsets[grid[:, :width + 1] + first]
+        sizes = ends[:, 1:] - ends[:, :-1]
+        los, his = ends[:, 0].tolist(), ends[:, -1].tolist()
+        size = sum(his) - sum(los)
+        if len(key) < size:
+            key = np.empty(size + size // 8, dtype=np.int64)
+        at = 0
+        for (drop, gaps), lo, hi, entries in zip(lanes, los, his, sizes):
+            # s << rel for every pair of the entries m - g, s = m - M
+            part = key[at:at + hi - lo]
+            np.add(tags[:width].repeat(entries), pairs[lo:hi], out=part)
+            rise = pairs[lo:hi] >> bits  # v - p
+            part += np.where(gaps[rise], 1, drop)
+            at += hi - lo
+        block_keys = key[:size]
+        block_keys.sort()
+        last = _run_ends(block_keys, bits)
+        count = np.count_nonzero(last)
+
+        # the block's entries go to the end of the window; once full, its
+        # live part moves to the front.  Beyond that part and the block, the
+        # array keeps a quarter of them plus 4096 pairs to spare, so the
+        # window moves at most once per quarter of its pairs appended, and
+        # small windows seldom; a new array keeps half of them to spare, so
+        # a growing window seldom needs another
+        end = offsets[first + nk]
+        if end + count > len(pairs) or first + nk + width >= len(offsets):
+            start = offsets[first]
+            live = end - start
+            if len(pairs) < 5 * (live + count) // 4 + 4096:
+                pairs = _front(pairs, start, end, 3 * (live + count) // 2 + 4096)
+            else:
+                pairs[:live] = pairs[start:end]
+            offsets[:nk + 1] = offsets[first:first + nk + 1] - start
+            end = live
+            first = 0
+        kept = pairs[end:end + count]
+        block_keys.compress(last, out=kept)
+        block = kept.searchsorted(tags[:width + 1])
+        values = kept >> rel  # s
+        values += M
+        kept &= lows  # ((v - m) << bits) | l
+        values += kept >> bits
+        offsets[first + nk + 1:first + nk + 1 + width] = block[1:] + end
+        first += width
+        yield M, block, values, kept & lengths
+
+
+def _front(a, lo, hi, size):
+    """A new array of the given size that starts with a[lo:hi]."""
+    b = np.empty(size, dtype=a.dtype)
+    b[:hi - lo] = a[lo:hi]
+    return b
 
 
 def _run_ends(key, bits):
-    """The last key of each run of equal key >> bits in a sorted key array.
+    """Mark the last key of each run of equal key >> bits in a sorted key array.
 
-    A function of its own, so its temporaries are freed before the next
-    block is filled.
+    A function of its own, so its temporaries are freed before the block's
+    entries are written.
     """
     run = key >> bits
     last = np.empty(len(key), dtype=bool)
     last[-1] = True
     np.not_equal(run[1:], run[:-1], out=last[:-1])
-    return key.compress(last)
+    return last
 
 
 def _scan(monoid, n):
@@ -259,9 +288,8 @@ def dynamic_bullets(monoid: NumericalMonoid, n):
     n = require_i64(n, "target")
     if n < -monoid.frobenius:
         return ((0, 0),)
-    _, offsets, values, lengths = deque(_blocks(monoid, n), maxlen=1)[0]
-    last = offsets[-2]
-    return tuple(zip(values[last:].tolist(), lengths[last:].tolist()))
+    values, lengths = _final(_scan(monoid, n))
+    return tuple(zip(values.tolist(), lengths.tolist()))
 
 
 def _zero_bullet(monoid):

@@ -7,6 +7,7 @@ equality / integer equality); nothing is tolerance-based.  Run with
 """
 
 import contextlib
+import tracemalloc
 
 import pytest
 
@@ -142,7 +143,16 @@ def test_criterion_5_omega_values():
 @pytest.mark.slow
 def test_criterion_5_omega_large_slow():
     with criterion("criterion 5 (slow): omega(357362) for <1001,1211,1421,1631,2841>"):
-        assert omega(NumericalMonoid([1001, 1211, 1421, 1631, 2841]), 357362) == 405
+        S = NumericalMonoid([1001, 1211, 1421, 1631, 2841])
+        # the omega block scan holds about 1001 * 5 entries' pairs at once:
+        # 59.2 MiB traced here, so a wider block or window shows as a failure
+        tracemalloc.start()
+        try:
+            assert omega(S, 357362) == 405
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 QUASILINEAR = [

@@ -24,7 +24,7 @@ from numfac import (
 )
 from numfac.delta import _deltas_up_to, _mask_gaps
 from numfac.factorization import _length_masks_up_to, _mask_to_lengths, _window_scan
-from numfac.omega import _scan, _threshold
+from numfac.omega import _blocks, _scan, _threshold
 from numfac.verify import _is_antichain
 
 # small coprime generating sets keep the brute-force oracles fast
@@ -291,6 +291,15 @@ def test_packed_step_matches_lexsort_on_omega_mix(gens, n):
     _assert_matches_lexsort(NumericalMonoid(gens), n)
 
 
+@pytest.mark.parametrize("gens, n", [
+    ((6, 9, 20), 2000),  # the window array grows, then moves its pairs in place
+    ((1,), 9000),  # the window offsets fill and move, twice
+    ((2, 1048577), 4000 - 1048575),  # each block reads 4 of the 1048577 window entries
+])
+def test_block_scan_matches_lexsort_as_the_window_moves(gens, n):
+    _assert_matches_lexsort(NumericalMonoid(gens), n)
+
+
 def _assert_block_boundaries(S):
     # the block scan cuts its last block at the target, so every target
     # from the base to past the third block boundary is its own case
@@ -318,6 +327,24 @@ def test_block_scan_matches_lexsort_at_every_cut(gens):
 @pytest.mark.parametrize("gens", [(1,), (2, 3), (6, 9, 20), (100, 121, 142, 163, 284)])
 def test_block_scan_matches_lexsort_at_every_cut_on_fixed_monoids(gens):
     _assert_block_boundaries(NumericalMonoid(gens))
+
+
+@pytest.mark.parametrize("gens, n", [
+    # rel = 22 + 21 bits, so nk << rel = 2**63 + 2**43 does not fit in int64
+    ((2, 1048577), 0),
+    ((2, 65537), 2_100_000_000),  # rel = 18 + 30 bits: nk << rel > 2**64
+])
+def test_first_block_of_a_wide_key_target_matches_lexsort(gens, n):
+    # the block keys shift only the block index, below n1, so a target
+    # whose keys fit is scanned even where nk << rel does not fit in int64
+    S = NumericalMonoid(gens)
+    M, offsets, values, lengths = next(_blocks(S, n))
+    bounds = offsets.tolist()
+    entries = [(M + s, values[lo:hi].tolist(), lengths[lo:hi].tolist())
+               for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    reference = [(m, v.tolist(), l.tolist())
+                 for m, (v, l) in _lexsort_scan(S, M + S.generators[0] - 1)]
+    assert entries == reference
 
 
 @given(gen_sets)
