@@ -3,7 +3,7 @@
 Delta(m) jumps around for small m, then settles into a periodic pattern.
 This script prints the pattern for S = <6, 9, 20>, detects where it
 starts and what the period is, and assembles the monoid-wide delta set
-both from the built-in proven bound and from a known sharper bound.
+with the proven bound and with a known sharper bound as the scan limit.
 
     python demos/delta_periodicity_scan.py
 """
@@ -36,13 +36,13 @@ print(f"Last dissonant element: {report.dissonance_start}")
 print(f"(Delta(m) = Delta(m + {report.period}) for every element m > "
       f"{report.dissonance_start} up to {report.verified_up_to - report.period})")
 
-print(f"\nWhole-monoid delta set, scanning to the proven bound "
-      f"{delta_scan_bound(S)}:")
+print(f"\nWhole-monoid delta set; the scan stops at a certified repeat of the "
+      f"length-set state, or at the proven bound {delta_scan_bound(S)}:")
 t0 = time.perf_counter()
 d = delta_set(S)
 print(f"  Delta(S) = {set(d)}   [{time.perf_counter() - t0:.2f}s]")
 
-print("A known periodicity-start bound (144 for this monoid) shrinks the scan:")
+print("A known periodicity-start bound (144 for this monoid) caps the scan sooner:")
 t0 = time.perf_counter()
 d2 = delta_set(S, bound_override=144)
 print(f"  Delta(S) = {set(d2)}   [{time.perf_counter() - t0:.4f}s]")

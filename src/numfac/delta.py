@@ -7,12 +7,62 @@ per-element delta sets are eventually periodic: scanning elements up to
 
     B = 2 k n2 nk^2 + n1 nk
 
-already sees every gap that will ever occur.  Callers who know a sharper
-periodicity-start bound N (these are tabulated for many monoids) can
-pass it as ``bound_override``; the scan then covers (0, N + lcm(n1, nk)].
+already sees every gap that will ever occur (Chapman, Hoyer and Kaplan,
+2009).  Callers who know a sharper periodicity-start bound N (these are
+tabulated for many monoids) can pass it as ``bound_override``; the limit
+is then N + lcm(n1, nk).  ``delta_set`` stops earlier, at the first
+element M where a repeat of the length-set state proves Delta(m) =
+Delta(m - p) for every m >= M, with p = lcm(n1, nk); the limit is only
+the fallback.
 
+The certificate.  Let d = gcd(n2 - n1, ..., nk - nk-1), H the least
+multiple of d that is >= nk, a = p / nk and b = p / n1.  For an element
+m with lo and hi the least and largest lengths of L(m), the bottom
+window is the set of lengths of L(m) in [lo, lo + H), read relative to
+lo, and the top window those in (hi - H, hi], relative to hi.  m is
+well formed when hi - lo >= 2H + d and the middle [lo + H, hi - H] holds
+every l = lo (mod d).  Every length of L(m) is = lo (mod d) (see the
+d_min paragraph below), so the middle is full iff it holds
+(hi - lo - 2H) / d + 1 lengths.  The certificate fires at M when
+M - p - nk > F + nk, for F the Frobenius number (so every m from
+M - p - nk on lies in S, and so does each m - ni), and:
+
+  (W) every m in [M - p - nk, M) is well formed;
+  (E) every m in [M - nk, M) has the windows of m - p, and lo and hi
+      exceed those of m - p by a and b;
+  (O) every m in [M - p, M) has overlapping predecessor middles:
+      max_i lo(m - ni) + 2H <= min_i hi(m - ni).
+
+Each then holds for every m >= M, by induction on m:
+
+- Windows.  L(m) is the union of L(m - ni) + 1, and lo(m) = 1 + min_i
+  lo(m - ni).  A length of L(m) below lo(m) + H comes from a length of
+  some L(m - ni) below lo(m) - 1 + H <= lo(m - ni) + H, so the bottom
+  window of m is the union of the predecessors' bottom windows, shifted
+  by their lo offsets from the least one.  The top window is fixed the
+  same way by the predecessors' top windows and hi offsets.  The
+  predecessors of m >= M lie in [M - nk, m), where (E) holds, so their
+  windows equal those of the predecessors of m - p and their lo and hi
+  grow by the same a and b: (E) passes to m.
+- Overlap.  lo(m - ni) and hi(m - ni) exceed those of m - p - ni by a
+  and b >= a, so (O) at m - p gives (O) at m.
+- Fullness.  The predecessors are well formed, and by (O) their middles,
+  each full, share a point, so their union, shifted by one, is the
+  whole middle [lo(m) + H, hi(m) - H] of m: that middle is full.  Its
+  width hi - lo exceeds that of m - p by b - a >= 0: (W) passes to m.
+- Delta.  H is a multiple of d, so a well-formed L(m) is its bottom
+  window, then lo + H, lo + H + d, ..., hi - H (at least two lengths),
+  then its top window.  Delta(m) is the gaps of the bottom window with
+  lo + H, the gap d, and the gaps of hi - H with the top window: it is
+  fixed by the two windows.  So Delta(m) = Delta(m - p) for m >= M, and
+  Delta(S) is the union of Delta(m) for m < M.
+
+The certificate keeps the last p windows, so it is skipped (and the
+scan runs to its limit) when they would hold more than
+``_CERTIFICATE_BITS`` bits.  Either way the answer is the union of
+every Delta(m) scanned, so it is exact wherever the scan stops.
 ``delta_periodicity`` measures where the eventual periodic behavior
-actually begins, which is usually far below the proven bound.
+actually begins, scanning to the horizon it is given.
 
 Delta(m) is read straight off the length mask of m (bit l set iff l is
 a factorization length).  ``pending`` holds the set bits whose next set
@@ -95,21 +145,91 @@ def _mask_gaps(mask, step):
     return tuple(gaps)
 
 
+def _d_min(gens):
+    # 0 for <1>, whose masks all hold a single bit, so no step is taken
+    return math.gcd(*(b - a for a, b in zip(gens, gens[1:])))
+
+
 def _deltas_up_to(monoid, n):
     """Yield (m, Delta(m)) for monoid elements m in [0, n], Delta(m) a sorted tuple."""
-    gens = monoid.generators
-    # 0 for <1>, whose masks all hold a single bit, so no step is taken
-    step = math.gcd(*(b - a for a, b in zip(gens, gens[1:])))
+    step = _d_min(monoid.generators)
     for m, mask in _length_masks_up_to(monoid, n):
         yield m, _mask_gaps(mask, step)
+
+
+# the certificate keeps p bottom and top windows of H bits each; past this
+# many bits it is skipped and the scan runs to its limit
+_CERTIFICATE_BITS = 1 << 24
+
+
+def _delta_scan(monoid, limit):
+    """(Delta(S), last): the union of Delta(m) for m up to min(certificate, limit).
+
+    ``last`` is the largest element whose Delta(m) was read: ``limit``
+    (or the last element below it) unless the certificate of the module
+    docstring fired at M = last + 1.
+    """
+    gens = monoid.generators
+    nk, d, p = gens[-1], _d_min(gens), monoid.period_hint
+    gaps, last = set(), 0
+    certify = len(gens) > 1
+    if certify:
+        n1, H = gens[0], -(-nk // d) * d
+        wide, low = 2 * H + d, (1 << H) - 1
+        a, b = p // nk, p // n1
+        # the lengths of m lie in [m / nk, m / n1], so no m up to the second
+        # term is wide; past the first, every predecessor is in S
+        start = max(monoid.frobenius + nk, (wide * n1 * nk - 1) // (nk - n1))
+        need = p + nk
+        certify = 2 * p * H <= _CERTIFICATE_BITS and start + need <= limit
+    if certify:
+        # slot m % p: lo and hi of every element, windows of the well formed
+        los, his, keys = [0] * p, [0] * p, [None] * p
+        well = same = overlap = 0
+    for m, mask in _length_masks_up_to(monoid, limit):
+        gaps.update(_mask_gaps(mask, d))
+        last = m
+        if not certify or m <= start - nk:
+            continue
+        slot = m % p
+        hi = mask.bit_length() - 1
+        lo = (mask & -mask).bit_length() - 1
+        los[slot], his[slot] = lo, hi
+        if m <= start:
+            continue
+        # width first: it costs O(1), and until the width has grown past
+        # 2H + d it fails on every element
+        width = hi - lo
+        if width >= wide:
+            bot, top = (mask >> lo) & low, mask >> (hi - H + 1)
+            middle = mask.bit_count() - bot.bit_count() - top.bit_count()
+        if width < wide or middle != (width - 2 * H) // d + 1:
+            well = same = overlap = 0
+            keys[slot] = None
+            continue
+        well += 1
+        q = m // p
+        key = (bot, top, lo - a * q, hi - b * q)
+        same = same + 1 if keys[slot] == key else 0
+        keys[slot] = key
+        pred = [(m - g) % p for g in gens]
+        if max(los[i] for i in pred) + 2 * H <= min(his[i] for i in pred):
+            overlap += 1
+        else:
+            overlap = 0
+        if well >= need and same >= nk and overlap >= p:
+            break
+    return tuple(sorted(gaps)), last
 
 
 def delta_set(monoid: NumericalMonoid, bound_override=None):
     """Delta set of the whole monoid, as a sorted tuple of gaps.
 
-    Without an override the scan runs to the in-built bound from
-    :func:`delta_scan_bound`.  With ``bound_override=N`` (a known
-    periodicity-start bound) it runs to N + lcm(n1, nk).
+    The scan covers the elements up to min(certificate, limit), where
+    the certificate is the repeat of the length-set state described in
+    the module docstring.  Without an override the limit is the proven
+    bound from :func:`delta_scan_bound`; with ``bound_override=N`` (a
+    known periodicity-start bound) it is N + lcm(n1, nk).
     """
     if bound_override is None:
         limit = delta_scan_bound(monoid)
@@ -117,10 +237,7 @@ def delta_set(monoid: NumericalMonoid, bound_override=None):
         limit = require_i64(
             _checked_target(bound_override) + monoid.period_hint, "scan limit"
         )
-    gaps = set()
-    for _, d in _deltas_up_to(monoid, limit):
-        gaps.update(d)
-    return tuple(sorted(gaps))
+    return _delta_scan(monoid, limit)[0]
 
 
 def _divisors(n):

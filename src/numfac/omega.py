@@ -316,7 +316,7 @@ def bullets_brute_force(monoid: NumericalMonoid, x):
     good = monoid.contains_array(y)
     for i, g in enumerate(gens):
         good &= (rows[:, i] == 0) | ~monoid.contains_array(y - g)
-    return {tuple(int(v) for v in row) for row in rows[good]}
+    return set(map(tuple, rows[good].tolist()))
 
 
 def bullets_via_apery(monoid: NumericalMonoid, x):

@@ -12,7 +12,7 @@ from numfac import (
     delta_set,
     length_sets_up_to,
 )
-from numfac.delta import _deltas_up_to
+from numfac.delta import _delta_scan, _deltas_up_to
 
 MCNUGGET = NumericalMonoid([6, 9, 20])
 
@@ -59,6 +59,31 @@ class TestDeltaSet:
     def test_two_generators_single_gap(self):
         # L(m) for <2,3> steps by 1, so the only gap is 1
         assert delta_set(NumericalMonoid([2, 3]), bound_override=50) == (1,)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("gens, bound", [
+        ((51, 53, 55, 117), 9699),
+        ((100, 121, 142, 163, 284), 24850),
+    ])
+    def test_runs_to_the_limit_when_it_never_fires(self, gens, bound):
+        S = NumericalMonoid(gens)
+        limit = bound + S.period_hint
+        assert _delta_scan(S, limit)[1] == limit
+
+    def test_stops_far_below_the_proven_bound(self):
+        gaps, last = _delta_scan(MCNUGGET, delta_scan_bound(MCNUGGET))
+        assert gaps == (1, 2, 3, 4)
+        assert last < 1000
+
+    def test_naturals_scan_to_their_limit(self):
+        assert _delta_scan(NumericalMonoid([1]), 0) == ((), 0)
+        assert _delta_scan(NumericalMonoid([1]), 50) == ((), 50)
+
+    def test_windows_over_the_cap_fall_back_to_the_limit(self, monkeypatch):
+        monkeypatch.setattr("numfac.delta._CERTIFICATE_BITS", 0)
+        limit = delta_scan_bound(MCNUGGET)
+        assert _delta_scan(MCNUGGET, limit) == ((1, 2, 3, 4), limit)
 
 
 class TestPeriodicity:

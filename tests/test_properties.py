@@ -13,6 +13,7 @@ from numfac import (
     brute_force_factorizations,
     bullets_brute_force,
     delta_of_lengths,
+    delta_scan_bound,
     delta_set,
     dynamic_bullets,
     factorizations,
@@ -22,7 +23,7 @@ from numfac import (
     omega,
     omega_up_to,
 )
-from numfac.delta import _deltas_up_to, _mask_gaps
+from numfac.delta import _delta_scan, _deltas_up_to, _mask_gaps
 from numfac.factorization import _length_masks_up_to, _mask_to_lengths, _window_scan
 from numfac.omega import _blocks, _scan, _threshold
 from numfac.verify import _is_antichain
@@ -197,6 +198,22 @@ def test_min_delta_is_gcd_of_generator_differences(gens):
     S = NumericalMonoid(gens)
     g = S.generators
     assert delta_set(S)[0] == math.gcd(*(b - a for a, b in zip(g, g[1:])))
+
+
+@given(gen_sets, st.none() | st.integers(0, 20000))
+@example([5, 7, 9], None)  # d_min = 2
+@example([6, 9, 20], 144)
+@settings(max_examples=25, deadline=None)
+def test_certified_delta_set_matches_full_scan(gens, bound):
+    # the certificate may stop the scan early; the union to the limit is the oracle
+    S = NumericalMonoid(gens)
+    limit = delta_scan_bound(S) if bound is None else bound + S.period_hint
+    assume(limit <= 60_000)
+    deltas = dict(_deltas_up_to(S, limit))
+    assert delta_set(S, bound_override=bound) == tuple(sorted(set().union(*deltas.values())))
+    # and what it certifies: Delta(m) = Delta(m - p) past the stop
+    last, p = _delta_scan(S, limit)[1], S.period_hint
+    assert all(deltas[m] == deltas[m - p] for m in range(last + 1, limit + 1))
 
 
 @given(gen_sets, st.integers(0, 120))
