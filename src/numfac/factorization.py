@@ -177,15 +177,9 @@ def brute_force_factorizations(monoid: NumericalMonoid, n, support=None):
                 raise NotAGenerator(f"{g} is not a minimal generator of {monoid!r}")
     rows, values = _sorted_grid(chosen, _grid_budget(n))
     lo, hi = np.searchsorted(values, (n, n + 1))
-    hits = rows[lo:hi]
-    col = {g: i for i, g in enumerate(gens)}
-    result = set()
-    for row in hits:
-        full = [0] * len(gens)
-        for g, v in zip(chosen, row):
-            full[col[g]] = int(v)
-        result.add(tuple(full))
-    return result
+    full = np.zeros((hi - lo, len(gens)), dtype=np.int64)
+    full[:, [gens.index(g) for g in chosen]] = rows[lo:hi]
+    return set(map(tuple, full.tolist()))
 
 
 def _length_step(m, preds):

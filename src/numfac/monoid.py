@@ -8,10 +8,11 @@ this package leans on the three facts computed here once per monoid:
   * the Frobenius number F(S), the largest integer outside S,
   * O(1) membership for arbitrary integers.
 
-Membership uses the classical residue table: for each residue r mod n1,
-the smallest element of S congruent to r.  An integer m >= 0 lies in S
-exactly when m is at least that table entry for its residue class, and
-F(S) is the table maximum minus n1.
+Membership reads one byte table over [0, F(S)], built from the classical
+residue table (for each residue r mod n1, the smallest element of S
+congruent to r) through its Kunz coordinates: m = j * n1 + r lies in S
+exactly when j is at least that entry's quotient by n1.  F(S) is the
+residue table maximum minus n1.
 """
 
 from __future__ import annotations
@@ -119,7 +120,6 @@ class NumericalMonoid:
         "frobenius",
         "period_hint",
         "removed_generators",
-        "_dist",
         "_table",
     )
 
@@ -147,7 +147,6 @@ class NumericalMonoid:
 
         nk = minimal[-1]
         require_i64(n1 * nk, "generator product")
-        self._dist = dist
         self.frobenius = max(dist) - n1
         self.period_hint = math.lcm(n1, nk)
 
@@ -178,7 +177,7 @@ class NumericalMonoid:
             return False
         if m > self.frobenius:
             return True
-        return m >= self._dist[m % self.generators[0]]
+        return bool(self._table[m])
 
     def contains_array(self, values):
         """Vectorized membership for an int array (any shape)."""

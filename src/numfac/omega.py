@@ -22,8 +22,8 @@ Three independent routes to the same numbers live here:
     -F(S) has the constant entry {(0, 0)}, which lets the scan start at
     min(-F(S), 0).  omega(m) is the largest length of its entry;
     ``omega_up_to`` and ``quasilinear_model`` read it off the block
-    stream, and ``dynamic_bullets`` takes the last entry of its
-    per-element view.
+    stream, and ``dynamic_bullets`` takes the last entry of the last
+    block.
   * ``bullets_brute_force`` enumerates exponent vectors directly and
     filters by the two bullet conditions.  Values never exceed
     x + F(S) + nk, which bounds the enumeration.
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -53,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BelowThreshold, Int64Overflow, TargetBelowBase
-from .factorization import _final, _grid_budget, _sorted_grid
+from .factorization import _grid_budget, _sorted_grid, brute_force_factorizations
 from .monoid import NumericalMonoid, require_i64
 
 __all__ = [
@@ -215,22 +216,6 @@ def _run_ends(key, bits):
     return last
 
 
-def _scan(monoid, n):
-    """Yield (m, entry) for every integer m in [min(-F(S), 0), n], ascending.
-
-    The entry is the pair of arrays (values, lengths) of the dynamic
-    bullets of m, sorted by value; omega(m) = lengths.max().  Its size is
-    bounded for fixed S, which is what makes the scan linear.  This is
-    the per-element view of ``_blocks``; a target whose packed keys
-    would not fit in 63 bits raises Int64Overflow before anything is
-    built.
-    """
-    for M, offsets, values, lengths in _blocks(monoid, n):
-        bounds = offsets.tolist()
-        for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            yield M + s, (values[lo:hi], lengths[lo:hi])
-
-
 def _omega_blocks(monoid, n):
     """Yield (M, omegas) with omegas[s] = omega(M + s), block by block."""
     for M, offsets, _, lengths in _blocks(monoid, n):
@@ -288,8 +273,9 @@ def dynamic_bullets(monoid: NumericalMonoid, n):
     n = require_i64(n, "target")
     if n < -monoid.frobenius:
         return ((0, 0),)
-    values, lengths = _final(_scan(monoid, n))
-    return tuple(zip(values.tolist(), lengths.tolist()))
+    _, offsets, values, lengths = deque(_blocks(monoid, n), maxlen=1)[0]
+    lo, hi = offsets[-2:].tolist()  # the entry of n closes the last block
+    return tuple(zip(values[lo:hi].tolist(), lengths[lo:hi].tolist()))
 
 
 def _zero_bullet(monoid):
@@ -326,8 +312,6 @@ def bullets_via_apery(monoid: NumericalMonoid, x):
     y in the intersection of the Apery sets of A.  Subsets whose gcd
     cannot divide y + x contribute nothing and are skipped.
     """
-    from .factorization import brute_force_factorizations
-
     x = require_i64(x, "target")
     if monoid.contains(-x):
         return _zero_bullet(monoid)

@@ -21,7 +21,7 @@ from .factorization import (
     factorizations_up_to,
 )
 from .monoid import NumericalMonoid
-from .omega import _omegas, _scan, bullets_brute_force, bullets_via_apery
+from .omega import _blocks, _omegas, bullets_brute_force, bullets_via_apery
 
 __all__ = ["PropertyResult", "run_suite"] + [
     "factorization_oracle",
@@ -178,7 +178,7 @@ def bullet_window_bound(monoid: NumericalMonoid, n_max):
     The bound is the size of the union of the generators' Apery sets,
     itself at most the sum of the generators.
     """
-    widest = max(len(values) for _, (values, _) in _scan(monoid, n_max))
+    widest = max(int(np.diff(offsets).max()) for _, offsets, _, _ in _blocks(monoid, n_max))
     union = set()
     for g in monoid.generators:
         union.update(monoid.apery_set(g).elements)

@@ -103,6 +103,8 @@ class TestMembership:
         assert S.contains(44)
         assert S.contains(0)
         assert not S.contains(-5)
+        # a plain bool, not a numpy one, wherever the answer comes from
+        assert {type(S.contains(m)) for m in (-5, 0, 43, 44, 10**6)} == {bool}
 
     @pytest.mark.parametrize("gens", [(2, 3), (6, 9, 20), (10, 12, 15), (11, 13, 15)])
     def test_membership_matches_sieve(self, gens):

@@ -17,7 +17,7 @@ from numfac import (
     omega_up_to,
     quasilinear_model,
 )
-from numfac.omega import _blocks, _scan
+from numfac.omega import _blocks
 
 MCNUGGET = NumericalMonoid([6, 9, 20])
 
@@ -192,9 +192,9 @@ class TestOmega:
         # the largest <6,9,20> target whose keys fit: v <= n + 63 < 2**33 and
         # a length of 30 bits; one more and the lengths need 31 bits
         n = 6_442_450_880
-        assert next(_scan(MCNUGGET, n))[0] == -43
+        assert next(_blocks(MCNUGGET, n))[0] == -43
         with pytest.raises(Int64Overflow):
-            next(_scan(MCNUGGET, n + 1))
+            next(_blocks(MCNUGGET, n + 1))
 
     def test_block_key_bound(self):
         # a monoid whose membership table would take 470 MB: only its

@@ -25,7 +25,7 @@ from numfac import (
 )
 from numfac.delta import _delta_scan, _deltas_up_to, _mask_gaps
 from numfac.factorization import _length_masks_up_to, _mask_to_lengths, _window_scan
-from numfac.omega import _blocks, _scan, _threshold
+from numfac.omega import _blocks, _threshold
 from numfac.verify import _is_antichain
 
 # small coprime generating sets keep the brute-force oracles fast
@@ -241,16 +241,21 @@ def test_dynamic_bullets_are_the_longest_bullet_per_value(gens):
     # in that scan, called at three points (every x would cost a scan each)
     S = NumericalMonoid(gens)
     cap = 40
-    entries = {}
-    for x, (values, lengths) in _scan(S, cap):
-        entries[x] = dict(zip(values.tolist(), lengths.tolist()))
-        longest = {}
-        for b in bullets_brute_force(S, x):
-            v = sum(c * g for c, g in zip(b, S.generators))
-            longest[v] = max(longest.get(v, 0), sum(b))
-        assert entries[x] == longest
+    longest = {}
+    for M, offsets, values, lengths in _blocks(S, cap):
+        block = range(M, M + len(offsets) - 1)
+        for x in block:
+            longest[x] = {}
+            for b in bullets_brute_force(S, x):
+                v = sum(c * g for c, g in zip(b, S.generators))
+                longest[x][v] = max(longest[x].get(v, 0), sum(b))
+        # the oracle entries of the block, joined by value the way it holds them
+        pairs = [sorted(longest[x].items()) for x in block]
+        assert offsets.tolist() == np.cumsum([0, *map(len, pairs)]).tolist()
+        assert values.tolist() == [v for entry in pairs for v, _ in entry]
+        assert lengths.tolist() == [l for entry in pairs for _, l in entry]
     for x in (min(-S.frobenius, 0), 0, cap):
-        assert dict(dynamic_bullets(S, x)) == entries[x]
+        assert dynamic_bullets(S, x) == tuple(sorted(longest[x].items()))
 
 
 def _lexsort_step(gap, steps, nk, m, preds):
@@ -279,11 +284,23 @@ def _lexsort_scan(S, n):
     return _window_scan(S.generators, min(-S.frobenius, 0), n, (zero, zero), step)
 
 
+def _assert_blocks_match(blocks, reference):
+    # every block against the reference entries of its integers, joined
+    # the way a block holds them; the two scans end together
+    reference = iter(reference)
+    for M, offsets, values, lengths in blocks:
+        ms, entries = zip(*itertools.islice(reference, len(offsets) - 1))
+        vs, ls = zip(*entries)
+        assert ms == tuple(range(M, M + len(ms)))
+        assert values.dtype == lengths.dtype == np.int64
+        assert offsets.tolist() == np.cumsum([0, *map(len, vs)]).tolist()
+        assert values.tolist() == np.concatenate(vs).tolist()
+        assert lengths.tolist() == np.concatenate(ls).tolist()
+    assert next(reference, None) is None
+
+
 def _assert_matches_lexsort(S, n):
-    for (m, (v, l)), (m_ref, (v_ref, l_ref)) in zip(_scan(S, n), _lexsort_scan(S, n), strict=True):
-        assert m == m_ref
-        assert v.dtype == l.dtype == np.int64
-        assert v.tolist() == v_ref.tolist() and l.tolist() == l_ref.tolist()
+    _assert_blocks_match(_blocks(S, n), _lexsort_scan(S, n))
 
 
 @given(gen_sets)
@@ -322,17 +339,16 @@ def _assert_block_boundaries(S):
     # from the base to past the third block boundary is its own case
     n1 = S.generators[0]
     base = min(-S.frobenius, 0)
-    reference = [(m, v.tolist(), l.tolist())
-                 for m, (v, l) in _lexsort_scan(S, base + 3 * n1 + 1)]
+    reference = list(_lexsort_scan(S, base + 3 * n1 + 1))
     for n in range(base, base + 3 * n1 + 2):
-        entries = [(m, v.tolist(), l.tolist()) for m, (v, l) in _scan(S, n)]
-        assert entries == reference[:n - base + 1]
+        entries = reference[:n - base + 1]
+        _assert_blocks_match(_blocks(S, n), entries)
         quotient = omega_up_to(S, n, "quotient")
-        assert quotient == {m: max(l) for m, _, l in entries}
+        assert quotient == {m: int(l.max()) for m, (_, l) in entries}
         assert omega_up_to(S, n, "monoid") == {m: w for m, w in quotient.items()
                                                if S.contains(m)}
-        _, values, lengths = entries[-1]
-        assert dynamic_bullets(S, n) == tuple(zip(values, lengths))
+        values, lengths = entries[-1][1]
+        assert dynamic_bullets(S, n) == tuple(zip(values.tolist(), lengths.tolist()))
 
 
 @given(gen_sets)
@@ -355,13 +371,8 @@ def test_first_block_of_a_wide_key_target_matches_lexsort(gens, n):
     # the block keys shift only the block index, below n1, so a target
     # whose keys fit is scanned even where nk << rel does not fit in int64
     S = NumericalMonoid(gens)
-    M, offsets, values, lengths = next(_blocks(S, n))
-    bounds = offsets.tolist()
-    entries = [(M + s, values[lo:hi].tolist(), lengths[lo:hi].tolist())
-               for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
-    reference = [(m, v.tolist(), l.tolist())
-                 for m, (v, l) in _lexsort_scan(S, M + S.generators[0] - 1)]
-    assert entries == reference
+    first = next(_blocks(S, n))
+    _assert_blocks_match([first], _lexsort_scan(S, first[0] + S.generators[0] - 1))
 
 
 @given(gen_sets)
@@ -376,7 +387,7 @@ def test_omega_model_route_matches_scan(gens):
     top = N0 + 5 * n1
     # the 2 * n1 answers below the margin scan about top + F(S) elements each
     assume(n1 * (top + S.frobenius) <= 20_000)
-    scanned = {m: int(lengths.max()) for m, (_, lengths) in _scan(S, top)}
+    scanned = omega_up_to(S, top, "quotient")
     # the 3 * n1 answers past the margin share one memoized model
     for n in range(N0 + 1, top + 1):
         assert omega(S, n) == scanned[n]
