@@ -13,6 +13,11 @@ the Frobenius number.  ``--stream`` switches the sweep commands
 per line.  All numbers are integers except the
 quasilinear offsets, which are exact fractions rendered as "p/q".
 
+Tables of integers (the sweeps, factorizations, bullets) leave as text a
+batch of rows at a time: ``_text`` renders int columns and the literal
+separators around them in one vectorized pass, with no Python object
+per row, and writes each batch to stdout as the scan yields it.
+
 Exit codes (``_EXITS`` maps exceptions onto them): 0 success, 1 usage or
 precondition error (or stdout closed before the output was complete, as
 by ``| head``), 2 invalid monoid, 3 arithmetic overflow or out of memory,
@@ -22,7 +27,6 @@ by ``| head``), 2 invalid monoid, 3 arithmetic overflow or out of memory,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import itertools
@@ -32,6 +36,8 @@ import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple
+
+import numpy as np
 
 from . import __version__
 from .delta import _deltas_up_to, delta_of_lengths, delta_periodicity, delta_set
@@ -103,29 +109,46 @@ class _Output(NamedTuple):
     """A command's result, with each output form described once.
 
     Only the form that ``--format`` or ``--stream`` selects is rendered.
-    A sweep's forms are generators over one shared scan, so that form
-    alone runs the scan and its rows reach stdout as they come.  Payload
-    values that are iterators are listed when the JSON document is built.
+    Each text form is an iterable of whole lines of text.  A sweep's
+    forms are generators over one shared scan, so that form alone runs
+    the scan and its batches reach stdout as they come.  Payload values
+    that are iterators are listed when the JSON document is built.
     """
 
     payload: dict
     header: list  # CSV header
-    rows: Iterable  # CSV rows
-    lines: Iterable  # plain lines
-    items: Iterable = ()  # JSON Lines documents for --stream
+    csv: Iterable  # CSV text, without the header
+    plain: Iterable  # plain text
+    stream: Iterable = ()  # JSON Lines text for --stream
     ok: bool = True  # exit 1 when false
+
+
+def _lines(rows, sep=","):
+    """Each row of values as one line of text, its values joined by ``sep``."""
+    return [sep.join(map(str, row)) + "\n" for row in rows]
 
 
 def _column(payload, key, header):
     """payload[key] as one CSV column, and on one plain line."""
     values = payload[key]
-    return _Output(payload, [header], ([v] for v in values), [" ".join(map(str, values))])
+    return _Output(payload, [header], _lines([v] for v in values), _lines([values], " "))
 
 
-def _table(payload, key, header, sep=","):
-    """payload[key] as CSV rows, one plain line per row joined by ``sep``, one JSON line each."""
-    rows = payload[key]
-    return _Output(payload, header, rows, (sep.join(map(str, r)) for r in rows), rows)
+def _table(payload, key, header, batches, sep=",", stream=("[", ",", "]\n")):
+    """Batches of int columns as one table in every form.
+
+    The JSON document lists the rows under payload[key]; the text forms
+    render a batch at a time: CSV rows, plain rows joined by ``sep``, and
+    JSON Lines rows framed by ``stream`` (prefix, between, suffix).
+    """
+    payload[key] = (row for columns in batches for row in np.column_stack(columns).tolist())
+    return _Output(
+        payload,
+        header,
+        (_rows(columns, "", ",", "\n") for columns in batches),
+        (_rows(columns, "", sep, "\n") for columns in batches),
+        (_rows(columns, *stream) for columns in batches),
+    )
 
 
 def _record(fields, keys=None):
@@ -139,13 +162,91 @@ def _record(fields, keys=None):
     return _Output(
         shown,
         keys,
-        [[_joined(fields[k], ";") for k in keys]],
-        [f"{k}: {_joined(v, ' ')}" for k, v in shown.items()],
+        _lines([[_joined(fields[k], ";") for k in keys]]),
+        [f"{k}: {_joined(v, ' ')}\n" for k, v in shown.items()],
     )
 
 
 def _joined(value, sep):
     return sep.join(map(str, value)) if isinstance(value, list) else value
+
+
+# ---------------------------------------------------------------- rendering
+
+# rows per rendered batch: rendering peaks at about 150 bytes a row, so a
+# sweep's stdout costs a few hundred KiB of memory at any length
+_BATCH = 2048
+
+
+def _text(rows, fields):
+    """``rows`` lines of text, each the concatenation of ``fields``, in one pass.
+
+    A field is an int array with one number per row, a str, or a pair
+    (str, shown) whose bool array marks the rows that carry the str.
+    Each field is a block of uint8 columns, one row per line, and a mask
+    keeps the bytes in use, so no Python object is made per row.
+    """
+    chars, keep = [], []
+    for field in fields:
+        if isinstance(field, np.ndarray):
+            c, k = _digits(field)
+        else:
+            text, shown = field if isinstance(field, tuple) else (field, True)
+            c = np.broadcast_to(np.frombuffer(text.encode(), np.uint8), (rows, len(text)))
+            k = np.broadcast_to(np.reshape(shown, (-1, 1)), c.shape)
+        chars.append(c)
+        keep.append(k)
+    return np.hstack(chars)[np.hstack(keep)].tobytes().decode()
+
+
+def _digits(values):
+    """The sign and digits of int values, right-aligned, and a mask of the bytes in use.
+
+    Negation in uint64 is exact for every int64, -2**63 included.
+    """
+    negative = values < 0
+    mag = values.astype(np.uint64)
+    np.negative(mag, out=mag, where=negative)
+    top = int(mag.max(initial=0))
+    if top < 2**32:  # a faster division
+        mag = mag.astype(np.uint32)
+    width = len(str(top)) + int(negative.any())
+    chars = np.empty((len(values), width), np.uint8)
+    keep = np.empty(chars.shape, bool)
+    for col in range(width - 1, -1, -1):
+        rest = mag // 10
+        chars[:, col] = mag - rest * 10 + ord("0")
+        keep[:, col] = (mag != 0) | (col == width - 1)  # no leading zeros
+        mag = rest
+    rows = np.flatnonzero(negative)
+    sign = width - 1 - keep[rows].sum(axis=1)
+    chars[rows, sign], keep[rows, sign] = ord("-"), True
+    return chars, keep
+
+
+def _rows(columns, prefix, between, *suffix):
+    """Rows of int columns as prefix + between.join(row) and then the ``suffix`` fields."""
+    fields = [between] * (2 * len(columns) + 1)
+    fields[1::2] = list(columns)
+    fields[0], fields[-1:] = prefix, suffix
+    return _text(len(columns[0]), fields)
+
+
+def _grouped(scan):
+    """(ms, parts) of consecutive items of an (m, part) scan, parts of _BATCH rows or more.
+
+    A part is an element's rows or a block's column; the last group may be smaller.
+    """
+    ms, parts, size = [], [], 0
+    for m, part in scan:
+        ms.append(m)
+        parts.append(part)
+        size += len(part)
+        if size >= _BATCH:
+            yield ms, parts
+            ms, parts, size = [], [], 0
+    if ms:
+        yield ms, parts
 
 
 # ---------------------------------------------------------------- handlers
@@ -164,8 +265,8 @@ def _cmd_info(S, args):
 
 def _cmd_contains(S, args):
     member = S.contains(args.n)
-    return _Output({"n": args.n, "member": member}, ["n", "member"], [[args.n, int(member)]],
-                   [str(member).lower()])
+    return _Output({"n": args.n, "member": member}, ["n", "member"],
+                   _lines([[args.n, int(member)]]), [f"{str(member).lower()}\n"])
 
 
 def _cmd_apery(S, args):
@@ -179,21 +280,29 @@ def _cmd_pseudo_frobenius(S, args):
 
 def _cmd_factorizations(S, args):
     Z = _desc_lex(factorizations(S, args.n))
-    payload = {"n": args.n, "count": len(Z), "factorizations": Z}
-    return _table(payload, "factorizations", _columns("a", S.k))
+    return _table({"n": args.n, "count": len(Z)}, "factorizations", _columns("a", S.k),
+                  [np.reshape(Z, (-1, S.k)).T])
 
 
 def _cmd_factorizations_up_to(S, args):
-    elements = ({"m": m, "count": len(Z), "factorizations": Z.tolist()}
-                for m, Z in factorizations_up_to(S, args.n))
+    scan = factorizations_up_to(S, args.n)
+    groups = _grouped(scan)
     return _Output(
-        {"elements": elements},
+        {"elements": ({"m": m, "count": len(Z), "factorizations": Z.tolist()} for m, Z in scan)},
         ["m", *_columns("a", S.k)],
-        ([e["m"], *a] for e in elements for a in e["factorizations"]),
-        (f"{e['m']}: " + " ".join(",".join(map(str, a)) for a in e["factorizations"])
-         for e in elements),
-        elements,
+        (_rows([np.repeat(ms, list(map(len, Zs))), *np.concatenate(Zs).T], "", ",", "\n")
+         for ms, Zs in groups),
+        ("".join(f"{m}: {b}\n" for m, b in zip(ms, _bodies(Zs, " "))) for ms, Zs in groups),
+        ("".join(f'{{"count":{len(Z)},"factorizations":[[{b}]],"m":{m}}}\n'
+                 for m, Z, b in zip(ms, Zs, _bodies(Zs, "],["))) for ms, Zs in groups),
     )
+
+
+def _bodies(Zs, sep):
+    """The rows of each Z(m) as one string, a,b,c per row, rows joined by ``sep``."""
+    last = np.zeros(sum(map(len, Zs)), bool)
+    last[np.cumsum(list(map(len, Zs))) - 1] = True
+    return _rows(np.concatenate(Zs).T, "", ",", (sep, ~last), ("\n", last)).split("\n")
 
 
 def _cmd_lengths(S, args):
@@ -219,26 +328,25 @@ def _cmd_delta_periodicity(S, args):
 
 def _cmd_omega(S, args):
     w = omega(S, args.n)
-    return _Output({"n": args.n, "omega": w}, ["n", "omega"], [[args.n, w]], [str(w)])
+    return _Output({"n": args.n, "omega": w}, ["n", "omega"], _lines([[args.n, w]]), [f"{w}\n"])
 
 
 def _cmd_omega_up_to(S, args):
-    pairs = _omegas(S, args.n, args.domain)
-    out = _table({"values": pairs}, "values", ["n", "omega"], " ")
-    return out._replace(items=({"m": m, "omega": w} for m, w in pairs))
+    batches = ((np.concatenate(m), np.concatenate(w))
+               for m, w in _grouped(_omegas(S, args.n, args.domain)))
+    return _table({}, "values", ["n", "omega"], batches, " ", ('{"m":', ',"omega":', "}\n"))
 
 
 def _cmd_bullets(S, args):
     if args.method == "dp":
         pairs = dynamic_bullets(S, args.n)
-        payload = {"n": args.n, "method": "dp", "omega": max(l for _, l in pairs),
-                   "dynamic_bullets": pairs}
-        return _table(payload, "dynamic_bullets", ["value", "length"])
+        payload = {"n": args.n, "method": "dp", "omega": max(l for _, l in pairs)}
+        return _table(payload, "dynamic_bullets", ["value", "length"],
+                      [np.reshape(pairs, (-1, 2)).T])
     fn = bullets_via_apery if args.method == "apery" else bullets_brute_force
     bullets = _desc_lex(fn(S, args.n))
-    payload = {"n": args.n, "method": args.method, "omega": max(sum(b) for b in bullets),
-               "bullets": bullets}
-    return _table(payload, "bullets", _columns("b", S.k))
+    payload = {"n": args.n, "method": args.method, "omega": max(sum(b) for b in bullets)}
+    return _table(payload, "bullets", _columns("b", S.k), [np.reshape(bullets, (-1, S.k)).T])
 
 
 # ``keys`` are the CSV columns, offsets last; ``dissonance`` selects two of them
@@ -261,22 +369,25 @@ def _cmd_plotdata(S, args):
     if horizon is None:
         raise ValueError("plotdata requires --horizon")
     if args.kind == "delta":
-        rows = ((m, d) for m, gaps in _deltas_up_to(S, horizon) for d in gaps)
+        batches = ((np.repeat(ms, [len(g) for g in gaps]),
+                    np.fromiter(itertools.chain.from_iterable(gaps), np.int64))
+                   for ms, gaps in _grouped(_deltas_up_to(S, horizon)))
         header = ["n", "d"]
     else:
-        rows = _omega_rows(S, horizon)
+        batches = _omega_rows(S, horizon)
         header = ["n", "omega", "in_monoid"]
-    return _table({"kind": args.kind, "rows": rows}, "rows", header, " ")
+    return _table({"kind": args.kind}, "rows", header, batches, " ")
 
 
 def _omega_rows(S, horizon):
-    """(m, omega(m), m in S) from m = -F(S) - 1 to the horizon, as the scan yields them."""
+    """Batches (m, omega(m), m in S) from m = -F(S) - 1 to the horizon, as the scan yields them."""
     omegas = _omegas(S, horizon, "quotient")
     first = next(omegas)  # checks the horizon before any row is out
     if S.frobenius >= 0:  # the scan starts at -F(S); omega(-F(S) - 1) = 0
-        yield -S.frobenius - 1, 0, 0
-    for m, w in itertools.chain([first], omegas):
-        yield m, w, int(S.contains(m))
+        yield np.array([-S.frobenius - 1]), np.zeros(1, np.int64), np.zeros(1, np.int64)
+    for ms, ws in _grouped(itertools.chain([first], omegas)):
+        m = np.concatenate(ms)
+        yield m, np.concatenate(ws), S.contains_array(m).astype(np.int64)
 
 
 def _cmd_verify(S, args):
@@ -288,8 +399,8 @@ def _cmd_verify(S, args):
                         for r in results],
          "ok": ok},
         ["property", "checked", "failures"],
-        [[r.name, r.checked, r.failures] for r in results],
-        [f"{'PASS' if r.ok else 'FAIL'} {r.name}: checked {r.checked}, failures {r.failures}"
+        _lines([r.name, r.checked, r.failures] for r in results),
+        [f"{'PASS' if r.ok else 'FAIL'} {r.name}: checked {r.checked}, failures {r.failures}\n"
          for r in results],
         ok=ok,
     )
@@ -324,9 +435,9 @@ def _cmd_bench(S, args):
     return _Output(
         {"results": results, "dynamic_faster": faster},
         ["name", "ms"],
-        [[r["name"], r["ms"]] for r in results],
-        [f"{r['name']}: {r['ms']} ms" for r in results]
-        + [f"dynamic_faster: {str(faster).lower()}"],
+        _lines([r["name"], r["ms"]] for r in results),
+        [f"{r['name']}: {r['ms']} ms\n" for r in results]
+        + [f"dynamic_faster: {str(faster).lower()}\n"],
         ok=faster,
     )
 
@@ -362,10 +473,7 @@ COMMANDS = {
 
 
 def _render(out, args, S, started):
-    if args.stream:
-        for item in out.items:
-            print(_dumps(item))
-    elif args.format == "json":
+    if args.format == "json" and not args.stream:
         payload = {k: list(v) if isinstance(v, Iterator) else v for k, v in out.payload.items()}
         print(_dumps({
             "command": args.command,
@@ -373,19 +481,16 @@ def _render(out, args, S, started):
             "payload": payload,
             "timing_ms": int((time.perf_counter() - started) * 1000),
         }))
-    elif args.format == "csv":
-        # the first row runs a sweep's input checks, so a refused input
-        # prints no header
-        rows = iter(out.rows)
-        first = next(rows, None)
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(out.header)
-        if first is not None:
-            writer.writerow(first)
-        writer.writerows(rows)
-    else:
-        for line in out.lines:
-            print(line)
+        return
+    csv = args.format == "csv" and not args.stream
+    text = iter(out.stream if args.stream else out.csv if csv else out.plain)
+    # the first piece runs a sweep's input checks, so a refused input
+    # prints no header
+    first = next(text, "")
+    if csv:
+        first = ",".join(out.header) + "\n" + first
+    for piece in itertools.chain([first], text):
+        sys.stdout.write(piece)
 
 
 # (exception type, exit code, stderr prefix): the first match wins, so a

@@ -22,8 +22,8 @@ Three independent routes to the same numbers live here:
     -F(S) has the constant entry {(0, 0)}, which lets the scan start at
     min(-F(S), 0).  omega(m) is the largest length of its entry;
     ``omega_up_to`` and ``quasilinear_model`` read it off the block
-    stream, and ``dynamic_bullets`` takes the last entry of the last
-    block.
+    stream as int64 arrays, and ``dynamic_bullets`` takes the last entry
+    of the last block.
   * ``bullets_brute_force`` enumerates exponent vectors directly and
     filters by the two bullet conditions.  Values never exceed
     x + F(S) + nk, which bounds the enumeration.
@@ -39,7 +39,11 @@ omega-primality in numerical monoids", JPAA 2014).  ``quasilinear_model``
 captures that shape (and where it empirically begins) from one scan to
 N0 + 2 * n1, and ``omega_extrapolate`` evaluates it for arbitrarily
 large n in constant time.  ``omega`` takes that route for every n past
-N0 + 2 * n1 and scans only below it.
+N0 + 2 * n1 and scans only below it.  ``omega_up_to`` (and every sweep
+of the command line) scans to the end of the block holding N0 + 2 * n1
+and computes the rows past it from the model's anchors, one numpy
+expression per chunk; a target is still admitted or refused by the
+packed-key bound of a scan to it, so no sweep runs without end.
 """
 
 from __future__ import annotations
@@ -222,16 +226,42 @@ def _omega_blocks(monoid, n):
         yield M, np.maximum.reduceat(lengths, offsets[:-1])
 
 
+# rows per chunk past N0 + 2 * n1: a chunk's arrays take about 40 bytes
+# a row, so a sweep to any target holds a bounded amount of them
+_CHUNK = 2048
+
+
 def _omegas(monoid, n, domain):
-    """Yield (m, omega(m)) over the domain of ``omega_up_to``, ascending."""
+    """Yield blocks (m, omega(m)) of int64 arrays over the domain of ``omega_up_to``, ascending.
+
+    The scan to n admits or refuses the target, but runs only to the
+    end of its block holding N0 + 2 * n1 (the ``quasilinear_model``
+    threshold N0); the rows past it come from the model's anchors,
+    omega(m) = (m + w0 * n1 - m0) / n1 for the anchor (m0, w0) of
+    m mod n1, in chunks of ``_CHUNK``.  <1> has no model and scans to n.
+    """
     if domain not in ("monoid", "quotient"):
         raise ValueError(f"domain must be 'monoid' or 'quotient', got {domain!r}")
+    gens = monoid.generators
+    stop = _threshold(monoid) + 2 * gens[0] if len(gens) >= 2 else n
     for M, omegas in _omega_blocks(monoid, n):
-        m = np.arange(M, M + len(omegas))
-        if domain == "monoid":
-            inside = monoid.contains_array(m)
-            m, omegas = m[inside], omegas[inside]
-        yield from zip(m.tolist(), omegas.tolist())
+        end = M + len(omegas)
+        yield _in_domain(monoid, domain, np.arange(M, end), omegas)
+        if end > stop:
+            break
+    if end <= n:
+        n1 = gens[0]
+        shift = np.array([w0 * n1 - m0 for m0, w0 in quasilinear_model(monoid).anchors])
+        for lo in range(end, n + 1, _CHUNK):
+            m = np.arange(lo, min(lo + _CHUNK, n + 1))
+            yield _in_domain(monoid, domain, m, (m + shift[m % n1]) // n1)
+
+
+def _in_domain(monoid, domain, m, omegas):
+    if domain == "monoid":
+        inside = monoid.contains_array(m)
+        return m[inside], omegas[inside]
+    return m, omegas
 
 
 def omega_up_to(monoid: NumericalMonoid, n, domain="monoid"):
@@ -242,8 +272,12 @@ def omega_up_to(monoid: NumericalMonoid, n, domain="monoid"):
     [min(-F(S), 0), n].  The target must not lie below that start, and
     a target whose packed bullet keys cannot fit in 63 bits (above about
     6.4e9 on <6,9,20>) raises Int64Overflow before the scan starts.
+    The scan stops at the end of its block holding N0 + 2 * n1 (the
+    ``quasilinear_model`` threshold N0); every later value is read off
+    that model.
     """
-    return dict(_omegas(monoid, n, domain))
+    return {m: w for ms, omegas in _omegas(monoid, n, domain)
+            for m, w in zip(ms.tolist(), omegas.tolist())}
 
 
 def omega(monoid: NumericalMonoid, n):

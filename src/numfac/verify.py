@@ -21,7 +21,7 @@ from .factorization import (
     factorizations_up_to,
 )
 from .monoid import NumericalMonoid
-from .omega import _blocks, _omegas, bullets_brute_force, bullets_via_apery
+from .omega import _blocks, bullets_brute_force, bullets_via_apery, omega_up_to
 
 __all__ = ["PropertyResult", "run_suite"] + [
     "factorization_oracle",
@@ -100,11 +100,13 @@ def _is_antichain(bullets):
 def omega_triple_equivalence(monoid: NumericalMonoid, x_max):
     """DP omega == brute bullet max length == Apery-method max length.
 
-    Sweeps x in [-F(S), x_max]; also verifies that no computed bullet
-    set contains one bullet coordinatewise inside another.
+    Sweeps x in [-F(S), x_max], so past N0 + 2 * n1 the rows that
+    ``omega_up_to`` reads off the quasilinear model meet both oracles;
+    also verifies that no computed bullet set contains one bullet
+    coordinatewise inside another.
     """
     checked = failures = 0
-    for x, w_dp in _omegas(monoid, x_max, "quotient"):
+    for x, w_dp in omega_up_to(monoid, x_max, "quotient").items():
         checked += 1
         brute = bullets_brute_force(monoid, x)
         w_brute = max(sum(b) for b in brute)
@@ -123,7 +125,7 @@ def length_omega_sandwich(monoid: NumericalMonoid, n_max):
     longest = {m: mask.bit_length() - 1
                for m, mask in _length_masks_up_to(monoid, max(n_max, 0))}
     checked = failures = 0
-    for n, w in _omegas(monoid, n_max, "monoid"):
+    for n, w in omega_up_to(monoid, n_max, "monoid").items():
         if n < 1:
             continue
         checked += 1
@@ -140,7 +142,7 @@ def omega_zero_one(monoid: NumericalMonoid, pad=50):
     """
     F = monoid.frobenius
     pf = set(monoid.pseudo_frobenius())
-    scanned = dict(_omegas(monoid, 0, "quotient"))
+    scanned = omega_up_to(monoid, 0, "quotient")
     checked = failures = 0
     for x in range(-F - pad, 1):
         checked += 1
@@ -178,13 +180,18 @@ def bullet_window_bound(monoid: NumericalMonoid, n_max):
     The bound is the size of the union of the generators' Apery sets,
     itself at most the sum of the generators.
     """
-    widest = max(int(np.diff(offsets).max()) for _, offsets, _, _ in _blocks(monoid, n_max))
+    widest = _widest_entry(monoid, n_max)
     union = set()
     for g in monoid.generators:
         union.update(monoid.apery_set(g).elements)
     checked = 1
     failures = 0 if widest <= len(union) <= sum(monoid.generators) else 1
     return PropertyResult("dynamic bullet window width bound", checked, failures)
+
+
+def _widest_entry(monoid, n_max):
+    """The most pairs in one window entry of the dynamic-bullet scan to n_max."""
+    return max(int(np.diff(offsets).max()) for _, offsets, _, _ in _blocks(monoid, n_max))
 
 
 def run_suite(monoid: NumericalMonoid, n=200):

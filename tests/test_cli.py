@@ -7,7 +7,9 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import numfac
 from numfac import cli
@@ -170,6 +172,28 @@ class TestStreaming:
         assert sink.nbytes > 1_000_000
         assert peak < 2**20
 
+    @pytest.mark.parametrize("argv, bound", [
+        # 25,000 lies below N0 + 2 * n1 = 25,915 here, so every row comes
+        # from the scan, whose own window takes about 2.4 MiB
+        (["omega-up-to", "--gens", "100,121,142,163,284", "--n", "25000", "--stream"], 3 * 2**20),
+        # 162,781 rows: a rendered batch of 2,048 rows peaks near 0.5 MiB,
+        # one of 8,192 rows above 1 MiB
+        (["factorizations-up-to", "--gens", "6,9,20", "--n", "1000", "--format", "csv"],
+         2**20),
+    ])
+    def test_sweep_renders_in_bounded_memory(self, argv, bound):
+        sink = _ByteSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.nbytes > 500_000
+        assert peak < bound
+
     def test_omega_up_to_is_ascending(self, capsys):
         code, out, _ = run(capsys, "omega-up-to", "--gens", "6,9,20", "--n", "30")
         assert code == 0
@@ -183,6 +207,30 @@ class TestStreaming:
         code, out, _ = run(capsys, "omega-up-to", "--gens", "6,9,20", "--n", "-44",
                            "--domain", "quotient", *form)
         assert (code, out) == (1, "")
+
+
+int64s = st.integers(-2**63, 2**63 - 1)
+# 0, every digit count of either sign, and both ends of int64
+EDGES = [0, 2**63 - 1, -2**63, *(s * 10**d + e for d in range(19) for s in (1, -1)
+                                   for e in (0, -s))]
+
+
+class TestRenderer:
+    @given(st.lists(st.tuples(int64s, int64s, int64s), max_size=40),
+           st.sampled_from([",", " ", ',"omega":']))
+    @example([(v, -v if v > -2**63 else v, 7) for v in EDGES], ",")
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_str(self, rows, sep):
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        expected = "".join("[" + sep.join(map(str, row)) + "]\n" for row in rows)
+        assert cli._rows(columns, "[", sep, "]\n") == expected
+
+    @given(st.lists(st.tuples(int64s, st.booleans()), min_size=1, max_size=40))
+    def test_fields_a_row_does_not_carry_are_left_out(self, rows):
+        values = np.array([v for v, _ in rows], dtype=np.int64)
+        shown = np.array([s for _, s in rows])
+        text = cli._text(len(rows), [values, (";", shown), ("\n", ~shown)])
+        assert text == "".join(str(v) + (";" if s else "\n") for v, s in rows)
 
 
 class TestPlotData:

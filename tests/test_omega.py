@@ -17,7 +17,7 @@ from numfac import (
     omega_up_to,
     quasilinear_model,
 )
-from numfac.omega import _blocks
+from numfac.omega import _blocks, _omega_blocks
 
 MCNUGGET = NumericalMonoid([6, 9, 20])
 
@@ -214,6 +214,8 @@ class TestOmega:
         assert omega(N, 0) == 0
         assert omega_up_to(N, 5, domain="monoid") == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5}
         assert omega_up_to(N, 0) == {0: 0}
+        # <1> has no quasilinear model: its sweep scans, and omega(m) = m
+        assert omega_up_to(N, 3000, domain="quotient") == {m: m for m in range(3001)}
 
 
 class TestQuasilinearModel:
@@ -229,8 +231,10 @@ class TestQuasilinearModel:
 
     def test_offsets_describe_omega(self):
         model = quasilinear_model(MCNUGGET)
-        # the scan, not omega: past 116 omega answers from this model
-        scanned = omega_up_to(MCNUGGET, 399, domain="quotient")
+        # the scan alone, not omega or omega_up_to: past 116 both answer
+        # from this model
+        scanned = {M + s: w for M, omegas in _omega_blocks(MCNUGGET, 399)
+                   for s, w in enumerate(omegas.tolist())}
         for n in range(105, 400):
             expected = Fraction(n, 6) + model.offsets[n % 6]
             assert scanned[n] == expected

@@ -25,7 +25,7 @@ from numfac import (
 )
 from numfac.delta import _delta_scan, _deltas_up_to, _mask_gaps
 from numfac.factorization import _length_masks_up_to, _mask_to_lengths, _window_scan
-from numfac.omega import _blocks, _threshold
+from numfac.omega import _blocks, _omega_blocks, _threshold
 from numfac.verify import _is_antichain
 
 # small coprime generating sets keep the brute-force oracles fast
@@ -375,6 +375,11 @@ def test_first_block_of_a_wide_key_target_matches_lexsort(gens, n):
     _assert_blocks_match([first], _lexsort_scan(S, first[0] + S.generators[0] - 1))
 
 
+def _scanned(S, n):
+    """omega(m) over the quotient scan to n, read off the blocks alone, with no model."""
+    return {M + s: w for M, omegas in _omega_blocks(S, n) for s, w in enumerate(omegas.tolist())}
+
+
 @given(gen_sets)
 @example([6, 9, 20])
 @settings(max_examples=25, deadline=None)
@@ -387,12 +392,32 @@ def test_omega_model_route_matches_scan(gens):
     top = N0 + 5 * n1
     # the 2 * n1 answers below the margin scan about top + F(S) elements each
     assume(n1 * (top + S.frobenius) <= 20_000)
-    scanned = omega_up_to(S, top, "quotient")
+    scanned = _scanned(S, top)
     # the 3 * n1 answers past the margin share one memoized model
     for n in range(N0 + 1, top + 1):
         assert omega(S, n) == scanned[n]
     for n in (N0 + 2 * n1, N0 + 2 * n1 + 1, top):  # both sides of the route
         assert max(length for _, length in dynamic_bullets(S, n)) == scanned[n]
+
+
+@given(gen_sets)
+@example([6, 9, 20])
+@example([2, 3])
+@settings(max_examples=25, deadline=None)
+def test_omega_up_to_model_rows_match_a_pure_scan(gens):
+    # omega_up_to scans to the end of its block holding N0 + 2 * n1 and
+    # reads the rows past it off the quasilinear model: every target on
+    # both sides of that switch, in both domains, against one plain scan
+    S = NumericalMonoid(gens)
+    n1, N0 = S.generators[0], _threshold(S)
+    # each of the 5 * n1 targets scans about N0 + 2 * n1 + F(S) elements
+    assume(n1 * (N0 + 2 * n1 + S.frobenius) <= 4_000)
+    scanned = _scanned(S, N0 + 5 * n1)
+    for n in range(N0 + 1, N0 + 5 * n1 + 1):
+        quotient = {m: w for m, w in scanned.items() if m <= n}
+        assert omega_up_to(S, n, "quotient") == quotient
+        assert omega_up_to(S, n, "monoid") == {m: w for m, w in quotient.items()
+                                               if S.contains(m)}
 
 
 def _quadratic_antichain(bullets):
