@@ -37,13 +37,13 @@ omega function is quasilinear: omega(n) = n / n1 + a(n mod n1) with
 exact rational offsets a (O'Neill and Pelayo, "On the linearity of
 omega-primality in numerical monoids", JPAA 2014).  ``quasilinear_model``
 captures that shape (and where it empirically begins) from one scan to
-N0 + 2 * n1, and ``omega_extrapolate`` evaluates it for arbitrarily
-large n in constant time.  ``omega`` takes that route for every n past
-N0 + 2 * n1 and scans only below it.  ``omega_up_to`` (and every sweep
-of the command line) scans to the end of the block holding N0 + 2 * n1
-and computes the rows past it from the model's anchors, one numpy
-expression per chunk; a target is still admitted or refused by the
-packed-key bound of a scan to it, so no sweep runs without end.
+N0 + 2 * n1, whose omega table it keeps, and ``omega_extrapolate``
+evaluates it for arbitrarily large n in constant time.  ``omega`` and
+``omega_up_to`` (and every sweep of the command line) answer each
+n >= N0 from the memoized model, its table up to N0 + 2 * n1 and its
+anchors past it, so one scan per monoid serves them all; below N0 they
+scan to n.  A target is still admitted or refused by the packed-key
+bound of a scan to it, so no sweep runs without end.
 """
 
 from __future__ import annotations
@@ -73,34 +73,14 @@ __all__ = [
 ]
 
 
-def _blocks(monoid, n):
-    """Yield (M, offsets, values, lengths) for the blocks [M, M + n1) of a scan to n.
-
-    Blocks start at min(-F(S), 0); the last one stops at n.  The entry
-    of M + s is values[offsets[s]:offsets[s + 1]] with its lengths.
-
-    Every predecessor m - ni of a block lies below its start M, so one
-    step computes all n1 entries of a block.  The window holds the pairs
-    of the entries of [M - nk, M) in one flat array, entry after entry:
-    a pair (v, l) of p as the key ((v - p) << bits) | l.  The
-    predecessors of the block along ni are then the one slice of entries
-    [M - ni, M - ni + n1).  Each slice is rewritten into one
-    preallocated array as block keys (s << rel) | ((v - m) << bits) | l
-    of m = M + s; a byte table over the offsets v - m in
-    [-nk, F(S) + nk] marks the pairs that move by (ni, 1).  One in-place
-    sort groups the keys by entry and value, the last key of each (s, v)
-    run is the longest pair, and one ``searchsorted`` finds the n1 + 1
-    offsets.  The block's pairs are then written after the window, which
-    moves its live part to the front only when it is full, so a block
-    costs the pairs of its entries and of their predecessors, whatever
-    nk is.
+def _admit(monoid, n):
+    """(n, base, bits, rel) of a scan to n, or Int64Overflow before anything is built.
 
     A bullet (v, l) of m has m <= v <= m + F(S) + nk and l <= v / n1, so
-    ``bits`` holds every length up to the target.  The scan admits a
-    target only while (v << bits) | l fits in 63 bits for every bullet,
-    the packed-key bound that ``omega_up_to`` documents; past it, and
-    past the bound of the block keys, it raises Int64Overflow before
-    anything is built.
+    ``bits`` holds every length up to the target.  A target is admitted
+    only while (v << bits) | l fits in 63 bits for every bullet, the
+    packed-key bound that ``omega_up_to`` documents, and while the block
+    keys of ``_blocks`` fit too.
     """
     n = require_i64(n, "target")
     gens = monoid.generators
@@ -129,6 +109,35 @@ def _blocks(monoid, n):
     rel = (monoid.frobenius + nk).bit_length() + bits
     if n1.bit_length() + rel > 63:
         raise Int64Overflow(f"scan target {n} does not fit in packed 64-bit block keys")
+    return n, base, bits, rel
+
+
+def _blocks(monoid, n):
+    """Yield (M, offsets, values, lengths) for the blocks [M, M + n1) of a scan to n.
+
+    Blocks start at min(-F(S), 0); the last one stops at n.  The entry
+    of M + s is values[offsets[s]:offsets[s + 1]] with its lengths.
+
+    Every predecessor m - ni of a block lies below its start M, so one
+    step computes all n1 entries of a block.  The window holds the pairs
+    of the entries of [M - nk, M) in one flat array, entry after entry:
+    a pair (v, l) of p as the key ((v - p) << bits) | l.  The
+    predecessors of the block along ni are then the one slice of entries
+    [M - ni, M - ni + n1).  Each slice is rewritten into one
+    preallocated array as block keys (s << rel) | ((v - m) << bits) | l
+    of m = M + s; a byte table over the offsets v - m in
+    [-nk, F(S) + nk] marks the pairs that move by (ni, 1).  One in-place
+    sort groups the keys by entry and value, the last key of each (s, v)
+    run is the longest pair, and one ``searchsorted`` finds the n1 + 1
+    offsets.  The block's pairs are then written after the window, which
+    moves its live part to the front only when it is full, so a block
+    costs the pairs of its entries and of their predecessors, whatever
+    nk is.  ``_admit`` fixes ``bits`` and ``rel`` and refuses a target
+    whose keys cannot fit.
+    """
+    n, base, bits, rel = _admit(monoid, n)
+    gens = monoid.generators
+    n1, nk = gens[0], gens[-1]
 
     # gap[y + nk] is True iff the offset y in [-nk, F(S) + nk] lies outside S;
     # a pair (v, l) of p = m - g moves iff gap[nk - g:][v - p] is True.  A
@@ -226,35 +235,36 @@ def _omega_blocks(monoid, n):
         yield M, np.maximum.reduceat(lengths, offsets[:-1])
 
 
-# rows per chunk past N0 + 2 * n1: a chunk's arrays take about 40 bytes
-# a row, so a sweep to any target holds a bounded amount of them
+# rows per chunk of the model route: a chunk's arrays take about 40
+# bytes a row, so a sweep to any target holds a bounded amount of them
 _CHUNK = 2048
 
 
 def _omegas(monoid, n, domain):
     """Yield blocks (m, omega(m)) of int64 arrays over the domain of ``omega_up_to``, ascending.
 
-    The scan to n admits or refuses the target, but runs only to the
-    end of its block holding N0 + 2 * n1 (the ``quasilinear_model``
-    threshold N0); the rows past it come from the model's anchors,
+    Below the ``quasilinear_model`` threshold N0, and on <1>, they are the
+    blocks of the scan to n.  For n >= N0 they are chunks of ``_CHUNK``
+    rows: slices of the model's table up to N0 + 2 * n1, then
     omega(m) = (m + w0 * n1 - m0) / n1 for the anchor (m0, w0) of
-    m mod n1, in chunks of ``_CHUNK``.  <1> has no model and scans to n.
+    m mod n1.  Both routes admit or refuse n by ``_admit`` first.
     """
     if domain not in ("monoid", "quotient"):
         raise ValueError(f"domain must be 'monoid' or 'quotient', got {domain!r}")
-    gens = monoid.generators
-    stop = _threshold(monoid) + 2 * gens[0] if len(gens) >= 2 else n
-    for M, omegas in _omega_blocks(monoid, n):
-        end = M + len(omegas)
-        yield _in_domain(monoid, domain, np.arange(M, end), omegas)
-        if end > stop:
-            break
-    if end <= n:
-        n1 = gens[0]
-        shift = np.array([w0 * n1 - m0 for m0, w0 in quasilinear_model(monoid).anchors])
-        for lo in range(end, n + 1, _CHUNK):
-            m = np.arange(lo, min(lo + _CHUNK, n + 1))
-            yield _in_domain(monoid, domain, m, (m + shift[m % n1]) // n1)
+    n, base, _, _ = _admit(monoid, n)
+    if len(monoid.generators) < 2 or n < _threshold(monoid):
+        for M, omegas in _omega_blocks(monoid, n):
+            yield _in_domain(monoid, domain, np.arange(M, M + len(omegas)), omegas)
+        return
+    model = quasilinear_model(monoid)
+    n1, top = model.n1, base + len(model._table) - 1  # top = N0 + 2 * n1
+    for lo in range(base, min(n, top) + 1, _CHUNK):
+        m = np.arange(lo, min(lo + _CHUNK, n + 1, top + 1))
+        yield _in_domain(monoid, domain, m, model._table[lo - base:lo - base + len(m)])
+    shift = np.array([w0 * n1 - m0 for m0, w0 in model.anchors])
+    for lo in range(top + 1, n + 1, _CHUNK):
+        m = np.arange(lo, min(lo + _CHUNK, n + 1))
+        yield _in_domain(monoid, domain, m, (m + shift[m % n1]) // n1)
 
 
 def _in_domain(monoid, domain, m, omegas):
@@ -272,9 +282,9 @@ def omega_up_to(monoid: NumericalMonoid, n, domain="monoid"):
     [min(-F(S), 0), n].  The target must not lie below that start, and
     a target whose packed bullet keys cannot fit in 63 bits (above about
     6.4e9 on <6,9,20>) raises Int64Overflow before the scan starts.
-    The scan stops at the end of its block holding N0 + 2 * n1 (the
-    ``quasilinear_model`` threshold N0); every later value is read off
-    that model.
+    From the ``quasilinear_model`` threshold N0 on, every value is read
+    off that memoized model (its table to N0 + 2 * n1, its anchors past
+    it), so the scan to N0 + 2 * n1 runs once per monoid.
     """
     return {m: w for ms, omegas in _omegas(monoid, n, domain)
             for m, w in zip(ms.tolist(), omegas.tolist())}
@@ -283,16 +293,16 @@ def omega_up_to(monoid: NumericalMonoid, n, domain="monoid"):
 def omega(monoid: NumericalMonoid, n):
     """omega(n) for a single integer n (0 whenever -n is in the monoid).
 
-    Above threshold + 2 * n1 (the ``quasilinear_model`` threshold N0) the
-    answer comes from that model, whose own scan stops there, so no
-    query scans further than N0 + 2 * n1 and a huge n costs no more than
-    that.  Every other n, and every monoid with one generator, is read
-    off the scan to n.
+    From the ``quasilinear_model`` threshold N0 on, the answer comes from
+    that memoized model (its table to N0 + 2 * n1, then
+    ``omega_extrapolate``), so omega(N0), the model and every later omega
+    share one scan.  Every n below N0, and <1>, is read off the scan to n.
     """
     n = require_i64(n, "target")
-    gens = monoid.generators
-    if len(gens) >= 2 and n > _threshold(monoid) + 2 * gens[0]:
-        return omega_extrapolate(quasilinear_model(monoid), n)
+    if len(monoid.generators) >= 2 and n >= _threshold(monoid):
+        model = quasilinear_model(monoid)
+        at = n - min(-monoid.frobenius, 0)
+        return int(model._table[at]) if at < len(model._table) else omega_extrapolate(model, n)
     return max(length for _, length in dynamic_bullets(monoid, n))
 
 
@@ -388,6 +398,7 @@ class QuasilinearModel:
     dissonance: int
     dissonance_in_monoid: int
     anchors: tuple = field(repr=False)
+    _table: np.ndarray = field(repr=False, compare=False)  # read-only omega of the scan
 
     @property
     def N0(self):
@@ -404,12 +415,12 @@ def _threshold(monoid):
 def quasilinear_model(monoid: NumericalMonoid):
     """Fit the exact eventual quasilinear form of omega on S.
 
-    Runs the dynamic scan up to threshold + 2 * n1, reads one exact
-    rational offset per residue class off the top of the window, and
-    locates the empirical start of the omega(n) = omega(n - n1) + 1
-    recurrence in both the quotient-group and monoid-only readings.
-    The model is memoized per monoid, so ``omega`` past the threshold
-    scans once per monoid, not once per call.
+    Runs the dynamic scan up to threshold + 2 * n1 and keeps its omega
+    table (8 bytes per integer), reads one exact rational offset per
+    residue class off its top, and locates the empirical start of the
+    omega(n) = omega(n - n1) + 1 recurrence in both the quotient-group
+    and monoid-only readings.  Memoized per monoid, so ``omega`` and
+    ``omega_up_to`` from the threshold on scan once per monoid.
     """
     gens = monoid.generators
     if len(gens) < 2:
@@ -422,18 +433,20 @@ def quasilinear_model(monoid: NumericalMonoid):
     w = np.empty(top - base + 1, dtype=np.int64)
     for M, omegas in _omega_blocks(monoid, top):
         w[M - base:M - base + len(omegas)] = omegas
+    w.flags.writeable = False
     # one anchor per residue class mod n1, each in (threshold, threshold + n1]
     anchors = [(m0, int(w[m0 - base]))
                for m0 in (threshold + 1 + (r - threshold - 1) % n1 for r in range(n1))]
     # every m from which stepping forward by n1 does not raise omega by exactly one
-    broken = (np.flatnonzero(w[n1:] != w[:-n1] + 1) + base).tolist()
+    broken = np.flatnonzero(w[n1:] != w[:-n1] + 1) + base
     return QuasilinearModel(
         n1=n1,
         threshold=threshold,
         offsets=tuple(Fraction(w0 * n1 - m0, n1) for m0, w0 in anchors),
-        dissonance=max([n1, *broken]),
-        dissonance_in_monoid=max([n1, *filter(monoid.contains, broken)]),
+        dissonance=max([n1, *broken.tolist()]),
+        dissonance_in_monoid=max([n1, *broken[monoid.contains_array(broken)].tolist()]),
         anchors=tuple(anchors),
+        _table=w,
     )
 
 

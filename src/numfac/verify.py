@@ -100,7 +100,7 @@ def _is_antichain(bullets):
 def omega_triple_equivalence(monoid: NumericalMonoid, x_max):
     """DP omega == brute bullet max length == Apery-method max length.
 
-    Sweeps x in [-F(S), x_max], so past N0 + 2 * n1 the rows that
+    Sweeps x in [-F(S), x_max], so when x_max >= N0 the rows that
     ``omega_up_to`` reads off the quasilinear model meet both oracles;
     also verifies that no computed bullet set contains one bullet
     coordinatewise inside another.

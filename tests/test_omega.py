@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -17,7 +18,9 @@ from numfac import (
     omega_up_to,
     quasilinear_model,
 )
-from numfac.omega import _blocks, _omega_blocks
+from numfac.omega import _blocks, _omega_blocks, _threshold
+
+omega_module = importlib.import_module("numfac.omega")
 
 MCNUGGET = NumericalMonoid([6, 9, 20])
 
@@ -253,7 +256,8 @@ class TestQuasilinearModel:
         model = quasilinear_model(S)
         n1 = model.n1
         top = model.threshold + 2 * n1
-        w = omega_up_to(S, top, domain="quotient")
+        # the scan alone: omega_up_to to top reads the model's own table
+        w = {M + s: x for M, omegas in _omega_blocks(S, top) for s, x in enumerate(omegas.tolist())}
         broken = [m for m in w if m + n1 <= top and w[m + n1] != w[m] + 1]
         assert model.dissonance == max([n1] + broken)
         assert model.dissonance_in_monoid == max([n1] + [m for m in broken if S.contains(m)])
@@ -290,6 +294,48 @@ class TestQuasilinearModel:
             tracemalloc.stop()
         assert model.threshold == 25715
         assert peak < 4 * 2**20
+
+    def test_model_keeps_only_its_table(self):
+        # a cached model holds 8 bytes per integer of its scan range
+        # [-F(S), N0 + 2 * n1], and little else
+        S = NumericalMonoid([100, 121, 142, 163, 284])
+        quasilinear_model.cache_clear()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            model = quasilinear_model(S)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 8 * (model.threshold + 2 * model.n1 + S.frobenius + 1) + 64 * 2**10
+
+    def test_table_is_private_and_read_only(self):
+        model = quasilinear_model(MCNUGGET)
+        assert model._table.flags.writeable is False
+        with pytest.raises(ValueError):
+            model._table[0] = 1
+        assert "_table" not in repr(model)
+        other = quasilinear_model.__wrapped__(MCNUGGET)
+        assert other == model and hash(other) == hash(model)
+
+    @pytest.mark.parametrize("gens", [(10, 12, 15, 16, 17), (6, 9, 20)])
+    def test_each_omega_value_from_one_scan(self, monkeypatch, gens):
+        # omega(N0), the model and a sweep past N0 + 2 * n1 share the
+        # memoized model's scan
+        S = NumericalMonoid(gens)
+        scans = []
+
+        def counted(monoid, n):
+            scans.append(n)
+            return _blocks(monoid, n)
+
+        monkeypatch.setattr(omega_module, "_blocks", counted)
+        quasilinear_model.cache_clear()
+        N0, n1 = _threshold(S), S.generators[0]
+        omega(S, N0)
+        quasilinear_model(S)
+        omega_up_to(S, N0 + 5 * n1, "quotient")
+        assert scans == [N0 + 2 * n1]
 
     def test_needs_two_generators(self):
         with pytest.raises(ValueError):

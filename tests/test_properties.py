@@ -384,20 +384,19 @@ def _scanned(S, n):
 @example([6, 9, 20])
 @settings(max_examples=25, deadline=None)
 def test_omega_model_route_matches_scan(gens):
-    # omega answers from the quasilinear model past N0 + 2 * n1 and scans
-    # below; both must equal the largest dynamic-bullet length, the scan's
+    # omega scans to n below N0 and answers from the quasilinear model from
+    # N0 on: its table up to N0 + 2 * n1, its anchors past it.  Every
+    # answer on both sides of both switches must equal the largest
+    # dynamic-bullet length, each from a scan to n
     S = NumericalMonoid(gens)
     n1 = S.generators[0]
     N0 = _threshold(S)
     top = N0 + 5 * n1
-    # the 2 * n1 answers below the margin scan about top + F(S) elements each
+    # each of the 6 * n1 + 1 answers scans about top + F(S) elements
     assume(n1 * (top + S.frobenius) <= 20_000)
     scanned = _scanned(S, top)
-    # the 3 * n1 answers past the margin share one memoized model
-    for n in range(N0 + 1, top + 1):
-        assert omega(S, n) == scanned[n]
-    for n in (N0 + 2 * n1, N0 + 2 * n1 + 1, top):  # both sides of the route
-        assert max(length for _, length in dynamic_bullets(S, n)) == scanned[n]
+    for n in range(N0 - n1, top + 1):  # N0 - 1 and N0 among them
+        assert omega(S, n) == scanned[n] == max(length for _, length in dynamic_bullets(S, n))
 
 
 @given(gen_sets)
@@ -405,15 +404,16 @@ def test_omega_model_route_matches_scan(gens):
 @example([2, 3])
 @settings(max_examples=25, deadline=None)
 def test_omega_up_to_model_rows_match_a_pure_scan(gens):
-    # omega_up_to scans to the end of its block holding N0 + 2 * n1 and
-    # reads the rows past it off the quasilinear model: every target on
-    # both sides of that switch, in both domains, against one plain scan
+    # omega_up_to scans to targets below N0 and reads every row of a
+    # target from N0 on off the quasilinear model, its table up to
+    # N0 + 2 * n1 and its anchors past it: every target on both sides of
+    # both switches, in both domains, against one plain scan
     S = NumericalMonoid(gens)
     n1, N0 = S.generators[0], _threshold(S)
-    # each of the 5 * n1 targets scans about N0 + 2 * n1 + F(S) elements
+    # each of the n1 targets below N0 scans about N0 + F(S) elements
     assume(n1 * (N0 + 2 * n1 + S.frobenius) <= 4_000)
     scanned = _scanned(S, N0 + 5 * n1)
-    for n in range(N0 + 1, N0 + 5 * n1 + 1):
+    for n in range(N0 - n1, N0 + 5 * n1 + 1):
         quotient = {m: w for m, w in scanned.items() if m <= n}
         assert omega_up_to(S, n, "quotient") == quotient
         assert omega_up_to(S, n, "monoid") == {m: w for m, w in quotient.items()

@@ -21,15 +21,16 @@ def test_incomparable_bullets_are_an_antichain():
 
 
 def test_triple_equivalence_checks_the_model_rows(monkeypatch):
-    # on <6,9,20> the scan stops with its block [113, 118], the one holding
-    # N0 + 2 * n1 = 116; the rows 119..200 come from the quasilinear model
+    # on <6,9,20> a sweep to 200 >= N0 = 104 reads the model: the rows up to
+    # N0 + 2 * n1 = 116 from its table, the rows 117..200 from its anchors.
+    # The planted model keeps the true table, so only the anchor rows fail
     S = NumericalMonoid([6, 9, 20])
     assert omega_triple_equivalence(S, 200).failures == 0
     model = quasilinear_model(S)
     wrong = dataclasses.replace(model, anchors=tuple((m0, w0 + 1) for m0, w0 in model.anchors))
     monkeypatch.setattr(omega_module, "quasilinear_model", lambda monoid: wrong)
     result = omega_triple_equivalence(S, 200)
-    assert (result.checked, result.failures) == (244, 200 - 118)
+    assert (result.checked, result.failures) == (244, 200 - 116)
 
 
 @pytest.mark.parametrize("gens, n, widest", [
