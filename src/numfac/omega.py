@@ -16,14 +16,15 @@ Three independent routes to the same numbers live here:
     becomes (v + ni, l + 1).  Every m - ni lies at or below m - n1, so
     the n1 entries of a block [M, M + n1) depend only on entries below
     M, and the scan computes a whole block in one vectorized step: the
-    k slices of predecessor pairs, packed as int64 keys, one add on the
-    moved keys and one in-place sort.  A target whose keys would not fit
-    in 63 bits is refused with Int64Overflow.  Every integer below
-    -F(S) has the constant entry {(0, 0)}, which lets the scan start at
-    min(-F(S), 0).  omega(m) is the largest length of its entry;
-    ``omega_up_to`` and ``quasilinear_model`` read it off the block
-    stream as int64 arrays, and ``dynamic_bullets`` takes the last entry
-    of the last block.
+    k slices of predecessor pairs, packed as integer keys, one gathered
+    add per pair and one in-place sort.  The keys are int32 whenever
+    every key of the scan fits in 31 bits and int64 otherwise; a target
+    whose keys would not fit in 63 bits is refused with Int64Overflow.
+    Every integer below -F(S) has the constant entry {(0, 0)}, which
+    lets the scan start at min(-F(S), 0).  omega(m) is the largest
+    length of its entry; ``omega_up_to`` and ``quasilinear_model`` read
+    it off the block stream as int64 arrays, and ``dynamic_bullets``
+    takes the last entry of the last block.
   * ``bullets_brute_force`` enumerates exponent vectors directly and
     filters by the two bullet conditions.  Values never exceed
     x + F(S) + nk, which bounds the enumeration.
@@ -74,13 +75,16 @@ __all__ = [
 
 
 def _admit(monoid, n):
-    """(n, base, bits, rel) of a scan to n, or Int64Overflow before anything is built.
+    """(n, base, bits, rel, dtype) of a scan to n, or Int64Overflow before anything is built.
 
     A bullet (v, l) of m has m <= v <= m + F(S) + nk and l <= v / n1, so
     ``bits`` holds every length up to the target.  A target is admitted
     only while (v << bits) | l fits in 63 bits for every bullet, the
     packed-key bound that ``omega_up_to`` documents, and while the block
-    keys of ``_blocks`` fit too.
+    keys of ``_blocks`` fit too.  Every key of the scan, and every sum
+    the block step forms, lies below 2**(n1.bit_length() + rel), so
+    ``dtype``, the dtype ``_blocks`` packs its keys in, is int32 when
+    n1.bit_length() + rel <= 31 and int64 otherwise.
     """
     n = require_i64(n, "target")
     gens = monoid.generators
@@ -96,9 +100,12 @@ def _admit(monoid, n):
         raise Int64Overflow(f"scan target {n} does not fit in packed 64-bit bullet keys")
     # A block key has s < n1 and v - m in [0, F(S) + nk], so it lies in
     # [0, n1 << rel), which the check below keeps in 63 bits.  The block
-    # step adds s << rel, taken from ``tags``, to terms below 2**(rel + 1)
-    # in size, so it never leaves int64.  With R = (F(S) + nk).bit_length(),
-    # the check never binds before the one above: if top has at least
+    # step adds s << rel, taken from ``tags``, to a window key of at most
+    # 2**rel, then the key's change, so every sum it forms lies in
+    # [0, n1 << rel], below 2**(n1.bit_length() + rel) like every key:
+    # the dtype check at the end rests on that.  With
+    # R = (F(S) + nk).bit_length(), the check below never binds before
+    # the one above: if top has at least
     # n1.bit_length() + R bits, the block keys need at most the
     # top.bit_length() + bits checked there; otherwise
     # top < 2**(n1.bit_length() + R - 1), so bits <= R and the block keys
@@ -109,7 +116,8 @@ def _admit(monoid, n):
     rel = (monoid.frobenius + nk).bit_length() + bits
     if n1.bit_length() + rel > 63:
         raise Int64Overflow(f"scan target {n} does not fit in packed 64-bit block keys")
-    return n, base, bits, rel
+    dtype = np.int32 if n1.bit_length() + rel <= 31 else np.int64
+    return n, base, bits, rel, dtype
 
 
 def _blocks(monoid, n):
@@ -125,40 +133,45 @@ def _blocks(monoid, n):
     predecessors of the block along ni are then the one slice of entries
     [M - ni, M - ni + n1).  Each slice is rewritten into one
     preallocated array as block keys (s << rel) | ((v - m) << bits) | l
-    of m = M + s; a byte table over the offsets v - m in
-    [-nk, F(S) + nk] marks the pairs that move by (ni, 1).  One in-place
+    of m = M + s; one table per generator ni over the offsets v - p in
+    [0, F(S) + nk] holds the change of the key of each pair, whether it
+    stays or moves by (ni, 1), so a pair costs one gather.  One in-place
     sort groups the keys by entry and value, the last key of each (s, v)
     run is the longest pair, and one ``searchsorted`` finds the n1 + 1
     offsets.  The block's pairs are then written after the window, which
     moves its live part to the front only when it is full, so a block
     costs the pairs of its entries and of their predecessors, whatever
-    nk is.  ``_admit`` fixes ``bits`` and ``rel`` and refuses a target
-    whose keys cannot fit.
+    nk is.  ``_admit`` fixes ``bits`` and ``rel``, refuses a target
+    whose keys cannot fit, and picks the key dtype: int32 whenever every
+    key fits in 31 bits, which halves the bytes the sort and the lane
+    arithmetic move, int64 otherwise.  The yielded values and lengths
+    are int64 either way.
     """
-    n, base, bits, rel = _admit(monoid, n)
+    n, base, bits, rel, dtype = _admit(monoid, n)
     gens = monoid.generators
     n1, nk = gens[0], gens[-1]
 
     # gap[y + nk] is True iff the offset y in [-nk, F(S) + nk] lies outside S;
     # a pair (v, l) of p = m - g moves iff gap[nk - g:][v - p] is True.  A
     # pair that stays has v - m = v - p - g; one that moves, v + g - m = v - p
+    # and one more length, so shift[v - p] of g is the change of its key
     gap = np.concatenate((np.ones(nk, dtype=bool), ~monoid._table, np.zeros(nk, dtype=bool)))
-    lanes = [(-(g << bits), gap[nk - g:]) for g in gens]
+    shifts = [np.where(gap[nk - g:], dtype(1), dtype(-(g << bits))) for g in gens]
     # the window entries of [M - g, M - g + n1) are the slots grid[i] for
     # g = gens[i]; their pairs start at offsets[first + grid[i]]
     grid = (nk - np.array(gens))[:, None] + np.arange(n1 + 1)
-    tags = np.arange(n1 + 1, dtype=np.int64) << rel
+    tags = np.arange(n1 + 1, dtype=dtype) << rel
     lows = (1 << rel) - 1
     lengths = (1 << bits) - 1
 
     # the window entry of [M - nk, M) in slot j holds the pair keys
     # pairs[offsets[first + j]:offsets[first + j + 1]]; every entry below
     # the base is {(0, 0)}, so the pair of p has v - p = -p
-    pairs = -np.arange(base - nk, base) << bits
+    pairs = -np.arange(base - nk, base, dtype=dtype) << bits
     offsets = np.empty(2 * nk + n1 + 4096, dtype=np.int64)
     offsets[:nk + 1] = np.arange(nk + 1)
     first = 0
-    key = np.empty(0, dtype=np.int64)
+    key = np.empty(0, dtype=dtype)
     for M in range(base, n + 1, n1):
         width = min(n1, n + 1 - M)  # the last block stops at n
         ends = offsets[grid[:, :width + 1] + first]
@@ -166,14 +179,13 @@ def _blocks(monoid, n):
         los, his = ends[:, 0].tolist(), ends[:, -1].tolist()
         size = sum(his) - sum(los)
         if len(key) < size:
-            key = np.empty(size + size // 8, dtype=np.int64)
+            key = np.empty(size + size // 8, dtype=dtype)
         at = 0
-        for (drop, gaps), lo, hi, entries in zip(lanes, los, his, sizes):
+        for shift, lo, hi, entries in zip(shifts, los, his, sizes):
             # s << rel for every pair of the entries m - g, s = m - M
             part = key[at:at + hi - lo]
             np.add(tags[:width].repeat(entries), pairs[lo:hi], out=part)
-            rise = pairs[lo:hi] >> bits  # v - p
-            part += np.where(gaps[rise], 1, drop)
+            part += shift[np.right_shift(pairs[lo:hi], bits, dtype=np.intp)]  # shift[v - p]
             at += hi - lo
         block_keys = key[:size]
         block_keys.sort()
@@ -200,13 +212,13 @@ def _blocks(monoid, n):
         kept = pairs[end:end + count]
         block_keys.compress(last, out=kept)
         block = kept.searchsorted(tags[:width + 1])
-        values = kept >> rel  # s
+        values = np.right_shift(kept, rel, dtype=np.int64)  # s
         values += M
         kept &= lows  # ((v - m) << bits) | l
         values += kept >> bits
         offsets[first + nk + 1:first + nk + 1 + width] = block[1:] + end
         first += width
-        yield M, block, values, kept & lengths
+        yield M, block, values, np.bitwise_and(kept, lengths, dtype=np.int64)
 
 
 def _front(a, lo, hi, size):
@@ -239,6 +251,11 @@ def _omega_blocks(monoid, n):
 # bytes a row, so a sweep to any target holds a bounded amount of them
 _CHUNK = 2048
 
+# integers of the scan range [min(-F(S), 0), N0 + 2 * n1] of a quasilinear
+# model, whose table takes 8 bytes each: a larger model is refused with
+# Int64Overflow before its table or its scan is built
+_MODEL_TABLE_LIMIT = 50_000_000
+
 
 def _omegas(monoid, n, domain):
     """Yield blocks (m, omega(m)) of int64 arrays over the domain of ``omega_up_to``, ascending.
@@ -251,7 +268,7 @@ def _omegas(monoid, n, domain):
     """
     if domain not in ("monoid", "quotient"):
         raise ValueError(f"domain must be 'monoid' or 'quotient', got {domain!r}")
-    n, base, _, _ = _admit(monoid, n)
+    n, base, *_ = _admit(monoid, n)
     if len(monoid.generators) < 2 or n < _threshold(monoid):
         for M, omegas in _omega_blocks(monoid, n):
             yield _in_domain(monoid, domain, np.arange(M, M + len(omegas)), omegas)
@@ -420,7 +437,9 @@ def quasilinear_model(monoid: NumericalMonoid):
     residue class off its top, and locates the empirical start of the
     omega(n) = omega(n - n1) + 1 recurrence in both the quotient-group
     and monoid-only readings.  Memoized per monoid, so ``omega`` and
-    ``omega_up_to`` from the threshold on scan once per monoid.
+    ``omega_up_to`` from the threshold on scan once per monoid.  A model
+    whose range holds more than 50,000,000 integers (a 400 MB table) is
+    refused with Int64Overflow before anything is built.
     """
     gens = monoid.generators
     if len(gens) < 2:
@@ -429,6 +448,10 @@ def quasilinear_model(monoid: NumericalMonoid):
     threshold = _threshold(monoid)
     top = threshold + 2 * n1
     base = min(-monoid.frobenius, 0)
+    if top - base + 1 > _MODEL_TABLE_LIMIT:
+        raise Int64Overflow(
+            f"quasilinear model range [{base}, {top}] exceeds the model table cap"
+        )
     # omega(m) at index m - base, in an array to keep the peak memory low
     w = np.empty(top - base + 1, dtype=np.int64)
     for M, omegas in _omega_blocks(monoid, top):

@@ -149,7 +149,7 @@ def test_criterion_5_omega_large_slow():
         S = NumericalMonoid([1001, 1211, 1421, 1631, 2841])
         # 357362 is N0, so omega reads the model, whose block scan to
         # N0 + 2 * n1 holds about 1001 * 5 entries' pairs at once and keeps
-        # its omega table: 58.6 MiB traced on a 2-core Xeon with Python
+        # its omega table: 61.2 MiB traced on a 2-core Xeon with Python
         # 3.11, so a wider block or window shows as a failure
         tracemalloc.start()
         try:

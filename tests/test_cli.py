@@ -95,6 +95,20 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("numfac: overflow:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [["quasilinear"], ["omega", "--n", "1000000000"]])
+    def test_oversized_model_is_3_before_allocating(self, capsys, argv):
+        # the model of <1000,1001> would take a 7.5 GiB table; what is traced
+        # is mostly the monoid's membership table of F(S) + 1 = 999,000 bytes
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv, "--gens", "1000,1001")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err.startswith("numfac: overflow:") and "model table cap" in err
+        assert peak < 2 * 2**20
+
     def test_not_in_monoid_is_4(self, capsys):
         assert run(capsys, "apery", "--gens", "6,9,20", "--n", "7")[0] == 4
 

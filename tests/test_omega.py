@@ -309,6 +309,29 @@ class TestQuasilinearModel:
             tracemalloc.stop()
         assert kept <= 8 * (model.threshold + 2 * model.n1 + S.frobenius + 1) + 64 * 2**10
 
+    def test_oversized_model_refused_before_allocating(self):
+        # N0 = 10**9 on <1000,1001>: its model would scan 1,001,001,000
+        # integers into a 7.5 GiB table
+        S = NumericalMonoid([1000, 1001])
+        tracemalloc.start()
+        try:
+            with pytest.raises(Int64Overflow, match="model table cap"):
+                quasilinear_model(S)
+            with pytest.raises(Int64Overflow, match="model table cap"):
+                omega(S, _threshold(S))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_model_table_cap_counts_the_scan_range(self, monkeypatch):
+        # <6,9,20> scans [-43, 116], 160 integers
+        monkeypatch.setattr(omega_module, "_MODEL_TABLE_LIMIT", 160)
+        assert len(quasilinear_model.__wrapped__(MCNUGGET)._table) == 160
+        monkeypatch.setattr(omega_module, "_MODEL_TABLE_LIMIT", 159)
+        with pytest.raises(Int64Overflow, match="model table cap"):
+            quasilinear_model.__wrapped__(MCNUGGET)
+
     def test_table_is_private_and_read_only(self):
         model = quasilinear_model(MCNUGGET)
         assert model._table.flags.writeable is False

@@ -25,7 +25,7 @@ from numfac import (
 )
 from numfac.delta import _delta_scan, _deltas_up_to, _mask_gaps
 from numfac.factorization import _length_masks_up_to, _mask_to_lengths, _window_scan
-from numfac.omega import _blocks, _omega_blocks, _threshold
+from numfac.omega import _admit, _blocks, _omega_blocks, _threshold
 from numfac.verify import _is_antichain
 
 # small coprime generating sets keep the brute-force oracles fast
@@ -371,6 +371,20 @@ def test_first_block_of_a_wide_key_target_matches_lexsort(gens, n):
     # the block keys shift only the block index, below n1, so a target
     # whose keys fit is scanned even where nk << rel does not fit in int64
     S = NumericalMonoid(gens)
+    first = next(_blocks(S, n))
+    _assert_blocks_match([first], _lexsort_scan(S, first[0] + S.generators[0] - 1))
+
+
+@pytest.mark.parametrize("n, dtype", [
+    # the largest <6,9,20> target whose keys fit in int32: top // 6 < 2**22,
+    # so bits = 22, rel = 6 + 22 and n1.bit_length() + rel = 31; its last
+    # entry's block keys reach 5 << 28.  One more and bits = 23
+    (25_165_760, np.int32),
+    (25_165_761, np.int64),
+])
+def test_first_block_at_the_key_width_boundary_matches_lexsort(n, dtype):
+    S = NumericalMonoid([6, 9, 20])
+    assert _admit(S, n)[-1] is dtype
     first = next(_blocks(S, n))
     _assert_blocks_match([first], _lexsort_scan(S, first[0] + S.generators[0] - 1))
 
