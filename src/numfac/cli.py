@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .delta import _deltas_up_to, delta_of_lengths, delta_periodicity, delta_set
+from .delta import _delta_at, _deltas_up_to, delta_periodicity, delta_set
 from .errors import Int64Overflow, MonoidInputError, NotInMonoid
 from .factorization import (
     _sorted_grid,
@@ -310,8 +310,7 @@ def _cmd_lengths(S, args):
 
 
 def _cmd_delta(S, args):
-    L = length_set(S, args.n)
-    return _column({"n": args.n, "delta": list(delta_of_lengths(L) if L else ())}, "delta", "gap")
+    return _column({"n": args.n, "delta": list(_delta_at(S, args.n))}, "delta", "gap")
 
 
 def _cmd_delta_set(S, args):

@@ -61,8 +61,16 @@ The certificate keeps the last p windows, so it is skipped (and the
 scan runs to its limit) when they would hold more than
 ``_CERTIFICATE_BITS`` bits.  Either way the answer is the union of
 every Delta(m) scanned, so it is exact wherever the scan stops.
-``delta_periodicity`` measures where the eventual periodic behavior
-actually begins, scanning to the horizon it is given.
+
+Past the certificate.  When it fires, its p slots hold the key (bottom
+window, top window, lo - a q, hi - b q), q = m // p, of each m in
+[M - p, M).  By (W) and (E), carried on by the induction above, every
+m >= M - p has the key of its slot m mod p, so L(m), its largest length
+hi and Delta(m) are read off that key with no scan to m.  So
+``length_set``, ``max_length`` and the per-element Delta of the CLI scan
+only to M, and ``delta_periodicity``, which measures where the eventual
+periodic behavior actually begins, scans to min(M, horizon) and reads
+the rest of its horizon from the slots.
 
 Delta(m) is read straight off the length mask of m (bit l set iff l is
 a factorization length).  ``pending`` holds the set bits whose next set
@@ -79,11 +87,16 @@ differ by a multiple of d_min and no distance in between can be a gap.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import HorizonTooSmall, Int64Overflow
-from .factorization import _checked_target, _length_masks_up_to
+from .factorization import _checked_target, _length_masks_up_to, _mask_to_lengths
 from .monoid import _MEMBER_TABLE_LIMIT, NumericalMonoid, require_i64
 
 __all__ = [
@@ -150,76 +163,232 @@ def _d_min(gens):
     return math.gcd(*(b - a for a, b in zip(gens, gens[1:])))
 
 
-def _deltas_up_to(monoid, n):
-    """Yield (m, Delta(m)) for monoid elements m in [0, n], Delta(m) a sorted tuple."""
-    step = _d_min(monoid.generators)
-    for m, mask in _length_masks_up_to(monoid, n):
-        yield m, _mask_gaps(mask, step)
-
-
 # the certificate keeps p bottom and top windows of H bits each; past this
 # many bits it is skipped and the scan runs to its limit
 _CERTIFICATE_BITS = 1 << 24
 
+# bit operations a scan may spend on one element query: reaching n costs
+# about n^2 / (2 n1) of them, since the mask of m holds about m / n1 bits.
+# max_length on <6,9,20> does 7.5e9 of them (n = 3e5) in 0.9 s on a 2-core
+# Xeon, so this budget is about 12 s of scanning
+_SCAN_BIT_BUDGET = 10**11
+
+# lengths of one L(n) past which length_set refuses to list them
+_LENGTHS_LIMIT = 50_000_000
+
+
+class _Certificate(NamedTuple):
+    """The constants of the module docstring's certificate for one monoid."""
+
+    p: int
+    d: int
+    H: int
+    a: int
+    b: int
+    start: int  # no element up to start is wide; every later one has its predecessors in S
+    floor: int  # the least scan limit at which the certificate can fire
+
+
+def _certificate(monoid):
+    """The certificate's constants, or None when it is skipped (<1>, or windows over the cap)."""
+    gens = monoid.generators
+    if len(gens) < 2:
+        return None
+    n1, nk, d, p = gens[0], gens[-1], _d_min(gens), monoid.period_hint
+    H = -(-nk // d) * d
+    if 2 * p * H > _CERTIFICATE_BITS:
+        return None
+    # the lengths of m lie in [m / nk, m / n1], so no m up to the second
+    # term is wide; past the first, every predecessor is in S
+    start = max(monoid.frobenius + nk, ((2 * H + d) * n1 * nk - 1) // (nk - n1))
+    return _Certificate(p, d, H, p // nk, p // n1, start, start + p + nk)
+
+
+class _Slots:
+    """L(m) for every m >= M - p, read off the p keys a fired certificate keeps.
+
+    keys[m % p] is (bot, top, lo - a * q, hi - b * q), q = m // p, of the
+    element m of [M - p, M): its two windows and the ends of L(m).  By
+    (W) and (E), carried to every later element by the induction of the
+    module docstring, each m >= M - p has the key of its slot, so L(m)
+    is lo + the bottom window, then lo + H, lo + H + d, ..., hi - H, then
+    hi - H + 1 + the top window.
+    """
+
+    def __init__(self, cert, keys):
+        self.cert, self.keys = cert, keys
+
+    def ends(self, m):
+        """(bot, top, lo, hi) of L(m)."""
+        c = self.cert
+        bot, top, lo, hi = self.keys[m % c.p]
+        q = m // c.p
+        return bot, top, lo + c.a * q, hi + c.b * q
+
+    def count(self, m):
+        bot, top, lo, hi = self.ends(m)
+        return bot.bit_count() + (hi - lo - 2 * self.cert.H) // self.cert.d + 1 + top.bit_count()
+
+    def lengths(self, m):
+        """L(m) as a sorted numpy int array."""
+        H, d = self.cert.H, self.cert.d
+        bot, top, lo, hi = self.ends(m)
+        return np.concatenate((lo + _mask_to_lengths(bot), np.arange(lo + H, hi - H + 1, d),
+                               hi - H + 1 + _mask_to_lengths(top)))
+
+    @functools.cached_property
+    def deltas(self):
+        """Delta(m) of each slot: the gaps of its windows around a middle cut to two lengths."""
+        H, d = self.cert.H, self.cert.d
+        return [_mask_gaps(bot | 1 << H | 1 << (H + d) | top << (H + d + 1), d)
+                for bot, top, _, _ in self.keys]
+
+    def delta(self, m):
+        return self.deltas[m % self.cert.p]
+
+
+class _Scan:
+    """The length masks of the monoid elements up to ``limit``, up to the certificate.
+
+    Iterating yields (m, mask of L(m)) in ascending m.  If the
+    certificate fires at some M <= limit, the last element yielded is
+    M - 1 and ``slots`` then holds its `_Slots`; otherwise ``slots``
+    stays None.  A limit below the certificate's floor gets the plain
+    mask scan, with no bookkeeping.
+    """
+
+    def __init__(self, monoid, limit):
+        self.monoid, self.limit, self.slots = monoid, limit, None
+
+    def __iter__(self):
+        cert = _certificate(self.monoid)
+        if cert is None or cert.floor > self.limit:
+            return _length_masks_up_to(self.monoid, self.limit)
+        return self._certified(cert)
+
+    def _certified(self, cert):
+        monoid, gens = self.monoid, self.monoid.generators
+        nk = gens[-1]
+        p, d, H, a, b, start, _ = cert
+        wide, low = 2 * H + d, (1 << H) - 1
+        # slot m % p: lo and hi of every element, windows of the well formed.
+        # (W) needs no counter of its own: overlap counts well-formed
+        # elements only, so overlap >= p gives (W) on [M - p, M), and
+        # same >= nk compares each m of [M - nk, M) with the key of m - p,
+        # which is set only when m - p is well formed
+        los, his, keys = [0] * p, [0] * p, [None] * p
+        same = overlap = 0
+        for item in _length_masks_up_to(monoid, self.limit):
+            yield item
+            m, mask = item
+            if m <= start - nk:
+                continue
+            slot = m % p
+            hi = mask.bit_length() - 1
+            lo = (mask & -mask).bit_length() - 1
+            los[slot], his[slot] = lo, hi
+            if m <= start:
+                continue
+            # width first: it costs O(1), and until the width has grown past
+            # 2H + d it fails on every element
+            width = hi - lo
+            if width >= wide:
+                bot, top = (mask >> lo) & low, mask >> (hi - H + 1)
+                middle = mask.bit_count() - bot.bit_count() - top.bit_count()
+            if width < wide or middle != (width - 2 * H) // d + 1:
+                same = overlap = 0
+                keys[slot] = None
+                continue
+            q = m // p
+            key = (bot, top, lo - a * q, hi - b * q)
+            same = same + 1 if keys[slot] == key else 0
+            keys[slot] = key
+            pred = [(m - g) % p for g in gens]
+            if max(los[i] for i in pred) + 2 * H <= min(his[i] for i in pred):
+                overlap += 1
+            else:
+                overlap = 0
+            if same >= nk and overlap >= p:
+                self.slots = _Slots(cert, keys)
+                return
+
 
 def _delta_scan(monoid, limit):
-    """(Delta(S), last): the union of Delta(m) for m up to min(certificate, limit).
+    """(Delta(S), last, slots): the union of Delta(m) for m up to min(certificate, limit).
 
     ``last`` is the largest element whose Delta(m) was read: ``limit``
     (or the last element below it) unless the certificate of the module
-    docstring fired at M = last + 1.
+    docstring fired at M = last + 1, and then ``slots`` is its `_Slots`
+    (None otherwise).
     """
-    gens = monoid.generators
-    nk, d, p = gens[-1], _d_min(gens), monoid.period_hint
+    step = _d_min(monoid.generators)
+    scan = _Scan(monoid, limit)
     gaps, last = set(), 0
-    certify = len(gens) > 1
-    if certify:
-        n1, H = gens[0], -(-nk // d) * d
-        wide, low = 2 * H + d, (1 << H) - 1
-        a, b = p // nk, p // n1
-        # the lengths of m lie in [m / nk, m / n1], so no m up to the second
-        # term is wide; past the first, every predecessor is in S
-        start = max(monoid.frobenius + nk, (wide * n1 * nk - 1) // (nk - n1))
-        need = p + nk
-        certify = 2 * p * H <= _CERTIFICATE_BITS and start + need <= limit
-    if certify:
-        # slot m % p: lo and hi of every element, windows of the well formed
-        los, his, keys = [0] * p, [0] * p, [None] * p
-        well = same = overlap = 0
-    for m, mask in _length_masks_up_to(monoid, limit):
-        gaps.update(_mask_gaps(mask, d))
-        last = m
-        if not certify or m <= start - nk:
-            continue
-        slot = m % p
-        hi = mask.bit_length() - 1
-        lo = (mask & -mask).bit_length() - 1
-        los[slot], his[slot] = lo, hi
-        if m <= start:
-            continue
-        # width first: it costs O(1), and until the width has grown past
-        # 2H + d it fails on every element
-        width = hi - lo
-        if width >= wide:
-            bot, top = (mask >> lo) & low, mask >> (hi - H + 1)
-            middle = mask.bit_count() - bot.bit_count() - top.bit_count()
-        if width < wide or middle != (width - 2 * H) // d + 1:
-            well = same = overlap = 0
-            keys[slot] = None
-            continue
-        well += 1
-        q = m // p
-        key = (bot, top, lo - a * q, hi - b * q)
-        same = same + 1 if keys[slot] == key else 0
-        keys[slot] = key
-        pred = [(m - g) % p for g in gens]
-        if max(los[i] for i in pred) + 2 * H <= min(his[i] for i in pred):
-            overlap += 1
-        else:
-            overlap = 0
-        if well >= need and same >= nk and overlap >= p:
-            break
-    return tuple(sorted(gaps)), last
+    for last, mask in scan:
+        gaps.update(_mask_gaps(mask, step))
+    return tuple(sorted(gaps)), last, scan.slots
+
+
+def _deltas_up_to(monoid, n):
+    """Yield (m, Delta(m)) for monoid elements m in [0, n], Delta(m) a sorted tuple.
+
+    Each Delta(m) is read off the length mask of m up to the
+    certificate and, once it fires at M, off its slots from M on.
+    """
+    step = _d_min(monoid.generators)
+    scan = _Scan(monoid, n)
+    m = -1
+    for m, mask in scan:
+        yield m, _mask_gaps(mask, step)
+    if scan.slots is not None:
+        for m in range(m + 1, n + 1):
+            yield m, scan.slots.delta(m)
+
+
+def _element(monoid, n):
+    """(mask, slots) for an element n of S: the length mask of L(n), or else the `_Slots` holding it.
+
+    A target past the reach of ``_SCAN_BIT_BUDGET`` is answered only by
+    a certificate that fires within that reach: when the certificate is
+    skipped, or cannot fire by then, the target is refused with
+    Int64Overflow before the scan, and when it has not fired by then,
+    after it.
+    """
+    cert = _certificate(monoid)
+    reach = math.isqrt(2 * monoid.generators[0] * _SCAN_BIT_BUDGET)
+    if n > reach and (cert is None or cert.floor > reach):
+        raise Int64Overflow(f"a scan to {n} exceeds the scan budget and no certificate can answer it")
+    scan = _Scan(monoid, min(n, reach))
+    m, mask = deque(scan, maxlen=1)[0]
+    if scan.slots is not None:
+        return None, scan.slots
+    if m < n:
+        raise Int64Overflow(f"the certificate did not fire within the scan budget for {n}")
+    return mask, None
+
+
+def _lengths_at(monoid, n):
+    """L(n) of an element n as a sorted numpy int array; Int64Overflow past ``_LENGTHS_LIMIT`` lengths."""
+    mask, slots = _element(monoid, n)
+    count = mask.bit_count() if slots is None else slots.count(n)
+    if count > _LENGTHS_LIMIT:
+        raise Int64Overflow(f"L({n}) holds {count} lengths, over the cap of {_LENGTHS_LIMIT}")
+    return _mask_to_lengths(mask) if slots is None else slots.lengths(n)
+
+
+def _max_length_at(monoid, n):
+    """M(n), the largest length of an element n."""
+    mask, slots = _element(monoid, n)
+    return mask.bit_length() - 1 if slots is None else slots.ends(n)[3]
+
+
+def _delta_at(monoid, n):
+    """Delta(n) as a sorted tuple; () when n is not in S."""
+    n = _checked_target(n)
+    if not monoid.contains(n):
+        return ()
+    mask, slots = _element(monoid, n)
+    return _mask_gaps(mask, _d_min(monoid.generators)) if slots is None else slots.delta(n)
 
 
 def delta_set(monoid: NumericalMonoid, bound_override=None):
@@ -255,41 +424,63 @@ def _divisors(n):
 def delta_periodicity(monoid: NumericalMonoid, horizon):
     """Detect the eventual period of Delta(m) and the last dissonant element.
 
-    Scans Delta(m) for m in (0, horizon], picks the smallest divisor p of
+    Reads Delta(m) for m in (0, horizon], picks the smallest divisor p of
     lcm(n1, nk) for which Delta(m) = Delta(m + p) holds throughout the
     final lcm-wide window, then scans backwards for the largest element
     where the relation fails.  A monoid element m with m + p outside the
     monoid counts as a mismatch; elements outside the monoid impose
     nothing.
+
+    Delta(m) is read off the length masks up to the certificate of the
+    module docstring and, once it fires at M, off its slots: then only
+    Delta(m) for m <= min(horizon, M + lcm) is kept, since from M on every
+    m is in S and Delta(m) = Delta(m - lcm).  For the same reason, when the
+    final window lies at or past M, the relation holds on every m >= M,
+    so the backward scan starts below M.
     """
     horizon = _checked_target(horizon)
     lcm = monoid.period_hint
     nk = monoid.generators[-1]
     if horizon < lcm + nk:
         raise HorizonTooSmall(f"horizon {horizon} < lcm + nk = {lcm + nk}")
+    # the scan cannot know M in advance, so it may keep one Delta per integer
     if horizon + 1 > _MEMBER_TABLE_LIMIT:
         raise Int64Overflow(f"horizon {horizon} exceeds the per-element table cap")
 
-    deltas = [None] * (horizon + 1)  # None marks gaps of the monoid
-    for m, d in _deltas_up_to(monoid, horizon):
-        deltas[m] = d
+    step = _d_min(monoid.generators)
+    scan = _Scan(monoid, horizon)
+    deltas = []  # Delta(m) at index m, None for the gaps of the monoid
+    for m, mask in scan:
+        if m > len(deltas):
+            deltas += [None] * (m - len(deltas))
+        deltas.append(_mask_gaps(mask, step))
+    M = len(deltas)
+    if scan.slots is None:  # no certificate: every m up to the horizon is kept
+        M = horizon + 1
+        deltas += [None] * (M - len(deltas))
+    else:
+        deltas += [scan.slots.delta(m) for m in range(M, min(horizon, M + lcm) + 1)]
+    top = len(deltas) - 1
 
     def agrees(m, p):
-        if deltas[m] is None:
+        here = deltas[m] if m <= top else deltas[M + (m - M) % lcm]
+        if here is None:
             return True
-        if deltas[m + p] is None:
-            return False
-        return deltas[m] == deltas[m + p]
+        m += p
+        there = deltas[m] if m <= top else deltas[M + (m - M) % lcm]
+        return here == there
 
-    period = lcm
+    period, first = lcm, horizon - lcm
     for p in _divisors(lcm):
         lo = max(1, horizon - lcm - p + 1)
         if all(agrees(m, p) for m in range(lo, horizon - p + 1)):
-            period = p
+            # agrees(m, p) is lcm-periodic from M on, so a window at or past M
+            # covers every m >= M
+            period, first = p, horizon - p if lo < M else M - 1
             break
 
     last_fail = 0
-    for m in range(horizon - period, 0, -1):
+    for m in range(first, 0, -1):
         if not agrees(m, period):
             last_fail = m
             break

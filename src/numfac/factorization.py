@@ -219,16 +219,30 @@ def length_sets_up_to(monoid: NumericalMonoid, n):
 
 
 def length_set(monoid: NumericalMonoid, n):
-    """L(n) as a tuple of increasing lengths; empty iff n not in the monoid."""
+    """L(n) as a tuple of increasing lengths; empty iff n not in the monoid.
+
+    Past the Delta certificate (see ``numfac.delta``) L(n) is read off
+    its slots, with no scan to n.  A target that would need too long a
+    scan, or an L(n) of more than 50,000,000 lengths, is refused with
+    Int64Overflow before the lengths are built.
+    """
     n = _checked_target(n)
     if not monoid.contains(n):
         return ()
-    return tuple(_mask_to_lengths(_final(_length_masks_up_to(monoid, n))).tolist())
+    from .delta import _lengths_at  # delta builds on this module
+
+    return tuple(_lengths_at(monoid, n).tolist())
 
 
 def max_length(monoid: NumericalMonoid, n):
-    """Largest factorization length M(n); requires n in the monoid."""
+    """Largest factorization length M(n); requires n in the monoid.
+
+    Read off the Delta certificate's slots past it, as in ``length_set``,
+    and refused the same way when its scan would take too long.
+    """
     n = _checked_target(n)
     if not monoid.contains(n):
         raise NotInMonoid(f"{n} is not an element of {monoid!r}")
-    return _final(_length_masks_up_to(monoid, n)).bit_length() - 1
+    from .delta import _max_length_at
+
+    return _max_length_at(monoid, n)

@@ -253,7 +253,8 @@ _CHUNK = 2048
 
 # integers of the scan range [min(-F(S), 0), N0 + 2 * n1] of a quasilinear
 # model, whose table takes 8 bytes each: a larger model is refused with
-# Int64Overflow before its table or its scan is built
+# Int64Overflow before its table or its scan is built.  dynamic_bullets
+# refuses a longer scan range the same way
 _MODEL_TABLE_LIMIT = 50_000_000
 
 
@@ -329,11 +330,15 @@ def dynamic_bullets(monoid: NumericalMonoid, n):
     These are the window entries the scan keeps: one pair per attainable
     bullet value, with the largest length.  For n below -F(S) the entry
     is the constant {(0, 0)}.  Targets past the packed-key range of the
-    scan raise Int64Overflow, as in ``omega_up_to``.
+    scan raise Int64Overflow, as in ``omega_up_to``, and so does a scan
+    range [min(-F(S), 0), n] of more than 50,000,000 integers (the
+    quasilinear model's cap), before any scan.
     """
     n = require_i64(n, "target")
     if n < -monoid.frobenius:
         return ((0, 0),)
+    if n - min(-monoid.frobenius, 0) + 1 > _MODEL_TABLE_LIMIT:
+        raise Int64Overflow(f"a bullet scan to {n} exceeds the cap of {_MODEL_TABLE_LIMIT} integers")
     _, offsets, values, lengths = deque(_blocks(monoid, n), maxlen=1)[0]
     lo, hi = offsets[-2:].tolist()  # the entry of n closes the last block
     return tuple(zip(values[lo:hi].tolist(), lengths[lo:hi].tolist()))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delta import _deltas_up_to, delta_scan_bound
+from .delta import _d_min, _mask_gaps, delta_scan_bound
 from .factorization import (
     _length_masks_up_to,
     _mask_to_lengths,
@@ -163,7 +163,9 @@ def delta_periodic_window(monoid: NumericalMonoid):
     B = delta_scan_bound(monoid)
     lcm = monoid.period_hint
     horizon = B + 2 * lcm
-    deltas = dict(_deltas_up_to(monoid, horizon))
+    # the plain mask scan, independent of the certificate's slots
+    step = _d_min(monoid.generators)
+    deltas = {m: _mask_gaps(mask, step) for m, mask in _length_masks_up_to(monoid, horizon)}
     checked = failures = 0
     for m in range(B, horizon - lcm + 1):
         if not monoid.contains(m):

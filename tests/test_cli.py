@@ -109,6 +109,20 @@ class TestExitCodes:
         assert err.startswith("numfac: overflow:") and "model table cap" in err
         assert peak < 2 * 2**20
 
+    @pytest.mark.parametrize("argv", [["lengths", "--n", "1000000000000"],
+                                      ["bullets", "--n", "1000000000"]])
+    def test_long_element_queries_are_3_before_allocating(self, capsys, argv):
+        # L(10**12) holds about 1.2e11 lengths; a bullet scan to 10**9 takes about a day
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv, "--gens", "6,9,20")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err.startswith("numfac: overflow:") and len(err.splitlines()) == 1
+        assert peak < 1_000_000
+
     def test_not_in_monoid_is_4(self, capsys):
         assert run(capsys, "apery", "--gens", "6,9,20", "--n", "7")[0] == 4
 
@@ -122,6 +136,14 @@ class TestExitCodes:
         code, out, err = run(capsys, "info", "--gens", "6,9,20")
         assert (code, out) == (expected, "")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+class TestElementQueries:
+    def test_far_delta_answers_from_the_certificate(self, capsys):
+        assert run(capsys, "delta", "--gens", "6,9,20", "--n", "1000000000000")[:2] == (0, "1 4\n")
+
+    def test_delta_of_a_gap_is_empty(self, capsys):
+        assert run(capsys, "delta", "--gens", "6,9,20", "--n", "43")[:2] == (0, "\n")
 
 
 class TestFormats:
@@ -263,6 +285,15 @@ class TestPlotData:
         assert (-44, 0, 0) in rows
         assert (-43, 1, 0) in rows
         assert (0, 0, 1) in rows
+
+    @pytest.mark.parametrize("horizon", ["492", "493", "640"])
+    @pytest.mark.parametrize("form", [["--format", "csv"], ["--stream"]])
+    def test_delta_rows_past_the_certificate_unchanged(self, capsys, monkeypatch, horizon, form):
+        # the certificate fires at 493 on <6,9,20>; rows from 493 on come from its slots
+        argv = ["plotdata", "delta", "--gens", "6,9,20", "--horizon", horizon, *form]
+        certified = run(capsys, *argv)
+        monkeypatch.setattr("numfac.delta._CERTIFICATE_BITS", 0)
+        assert run(capsys, *argv) == certified
 
     def test_empty_range_header_only(self, capsys):
         _, out, _ = run(capsys, "plotdata", "delta", "--gens", "6,9,20",

@@ -1,6 +1,9 @@
+import math
 import tracemalloc
+from collections import deque
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from numfac import (
     HorizonTooSmall,
@@ -10,9 +13,21 @@ from numfac import (
     delta_periodicity,
     delta_scan_bound,
     delta_set,
+    length_set,
     length_sets_up_to,
+    max_length,
 )
-from numfac.delta import _delta_scan, _deltas_up_to
+from numfac.delta import (
+    DeltaPeriodicityReport,
+    _d_min,
+    _delta_at,
+    _delta_scan,
+    _deltas_up_to,
+    _divisors,
+    _mask_gaps,
+    _Scan,
+)
+from numfac.factorization import _length_masks_up_to, _mask_to_lengths
 
 MCNUGGET = NumericalMonoid([6, 9, 20])
 
@@ -69,21 +84,60 @@ class TestCertificate:
     def test_runs_to_the_limit_when_it_never_fires(self, gens, bound):
         S = NumericalMonoid(gens)
         limit = bound + S.period_hint
-        assert _delta_scan(S, limit)[1] == limit
+        assert _delta_scan(S, limit)[1:] == (limit, None)
 
     def test_stops_far_below_the_proven_bound(self):
-        gaps, last = _delta_scan(MCNUGGET, delta_scan_bound(MCNUGGET))
+        gaps, last, slots = _delta_scan(MCNUGGET, delta_scan_bound(MCNUGGET))
         assert gaps == (1, 2, 3, 4)
         assert last < 1000
+        assert slots is not None
 
     def test_naturals_scan_to_their_limit(self):
-        assert _delta_scan(NumericalMonoid([1]), 0) == ((), 0)
-        assert _delta_scan(NumericalMonoid([1]), 50) == ((), 50)
+        assert _delta_scan(NumericalMonoid([1]), 0) == ((), 0, None)
+        assert _delta_scan(NumericalMonoid([1]), 50) == ((), 50, None)
+
+    @staticmethod
+    def _stop_when(monkeypatch, change, limit=2000):
+        """Where the certificate fires on <6,9,20> when it reads change(m, mask) for each mask."""
+        real = _length_masks_up_to
+
+        def masks(monoid, n):
+            for m, mask in real(monoid, n):
+                yield m, change(m, mask)
+
+        monkeypatch.setattr("numfac.delta._length_masks_up_to", masks)
+        scan = _Scan(MCNUGGET, limit)
+        last = deque(scan, maxlen=1)[0][0]
+        return None if scan.slots is None else last + 1
+
+    def test_each_condition_holds_back_the_certificate(self, monkeypatch):
+        # it fires at 493 = M on <6,9,20>, with p = 60 and nk = 20.  Each
+        # change below breaks one condition of the module docstring and
+        # keeps the other two; only the certificate reads the changed masks
+        M, p, nk = 493, 60, 20
+        assert self._stop_when(monkeypatch, lambda m, mask: mask) == M
+        # (E): a new top window at M - 1 (bit hi - 1 flips) must repeat nk times
+        flip = lambda m, mask: mask ^ 1 << (mask.bit_length() - 2) if m == M - 1 else mask
+        assert self._stop_when(monkeypatch, flip) == M + nk
+        # (O): one class mod p, lifted far above the others, keeps its windows
+        # and repeats, but its middles never overlap those of the other
+        # predecessors
+        lift = lambda m, mask: mask << 4096 if m % p == 7 else mask
+        assert self._stop_when(monkeypatch, lift) is None
+        # (W): one class mod p loses the length lo + H = lo + 20 of its middle
+        # wherever it has one, as hi - lo >= 2H + d = 41
+
+        def hole(m, mask):
+            lo = (mask & -mask).bit_length() - 1
+            wide = mask.bit_length() - 1 - lo >= 41
+            return mask & ~(1 << (lo + 20)) if m % p == 7 and wide else mask
+
+        assert self._stop_when(monkeypatch, hole) is None
 
     def test_windows_over_the_cap_fall_back_to_the_limit(self, monkeypatch):
         monkeypatch.setattr("numfac.delta._CERTIFICATE_BITS", 0)
         limit = delta_scan_bound(MCNUGGET)
-        assert _delta_scan(MCNUGGET, limit) == ((1, 2, 3, 4), limit)
+        assert _delta_scan(MCNUGGET, limit) == ((1, 2, 3, 4), limit, None)
 
 
 class TestPeriodicity:
@@ -137,3 +191,145 @@ class TestPerElementDeltasInsideMonoidDelta:
             if not MCNUGGET.contains(m):
                 continue
             assert set(delta_of_lengths(length_set(MCNUGGET, m))) <= whole
+
+
+def _plain_periodicity(monoid, horizon):
+    """delta_periodicity as it was before the certificate: one Delta per integer to the horizon."""
+    lcm = monoid.period_hint
+    step = _d_min(monoid.generators)
+    deltas = [None] * (horizon + 1)
+    for m, mask in _length_masks_up_to(monoid, horizon):
+        deltas[m] = _mask_gaps(mask, step)
+
+    def agrees(m, p):
+        if deltas[m] is None:
+            return True
+        if deltas[m + p] is None:
+            return False
+        return deltas[m] == deltas[m + p]
+
+    period = lcm
+    for p in _divisors(lcm):
+        lo = max(1, horizon - lcm - p + 1)
+        if all(agrees(m, p) for m in range(lo, horizon - p + 1)):
+            period = p
+            break
+    last_fail = 0
+    for m in range(horizon - period, 0, -1):
+        if not agrees(m, period):
+            last_fail = m
+            break
+    return DeltaPeriodicityReport(last_fail, period, horizon)
+
+
+def _stop(S):
+    """(M, slots): where the certificate fires on S, and its slots."""
+    scan = _Scan(S, delta_scan_bound(S))
+    last = deque(scan, maxlen=1)[0][0]
+    assert scan.slots is not None
+    return last + 1, scan.slots
+
+
+# monoids whose certificate fires, with M from 53 (<2,3>) to 3,533 (<11,53,73,87>)
+CERTIFYING = [(6, 9, 20), (7, 15, 17, 18, 20), (10, 17, 19, 25, 31), (2, 3), (11, 53, 73, 87)]
+
+
+class TestPastTheCertificate:
+    @pytest.mark.parametrize("gens", CERTIFYING)
+    def test_periodicity_matches_the_full_scan(self, gens):
+        S = NumericalMonoid(gens)
+        M, _ = _stop(S)
+        lcm, nk = S.period_hint, S.generators[-1]
+        for horizon in [lcm + nk, M - 1, M, M + 1, M + lcm, 5 * M]:
+            if horizon >= lcm + nk:
+                assert delta_periodicity(S, horizon) == _plain_periodicity(S, horizon), horizon
+
+    @given(st.lists(st.integers(2, 30), min_size=2, max_size=4).filter(
+        lambda gs: math.gcd(*gs) == 1))
+    @settings(max_examples=25, deadline=None)
+    def test_periodicity_matches_the_full_scan_on_small_monoids(self, gens):
+        S = NumericalMonoid(gens)
+        scan = _Scan(S, min(delta_scan_bound(S), 20_000))
+        last = deque(scan, maxlen=1)[0][0]
+        assume(scan.slots is not None)
+        M, lcm = last + 1, S.period_hint
+        for horizon in {M - 1, M, M + lcm, 2 * M + lcm + 1}:
+            if horizon >= lcm + S.generators[-1]:
+                assert delta_periodicity(S, horizon) == _plain_periodicity(S, horizon), horizon
+
+    def test_far_delta_from_the_slots(self):
+        assert _delta_at(MCNUGGET, 10**12) == (1, 4)
+        assert _delta_at(MCNUGGET, 43) == ()
+
+    def test_far_lengths_from_the_slots(self):
+        # 10**12 = 6 q + 4: the longest factorization trades two 6s for two 20s
+        assert max_length(MCNUGGET, 10**12) == (10**12 - 40) // 6 + 2
+        n = 30001
+        mask = deque(_length_masks_up_to(MCNUGGET, n), maxlen=1)[0][1]
+        assert length_set(MCNUGGET, n) == tuple(_mask_to_lengths(mask).tolist())
+
+    @pytest.mark.parametrize("gens", CERTIFYING[:3])
+    def test_answers_unchanged_without_the_certificate(self, gens, monkeypatch):
+        S = NumericalMonoid(gens)
+        M, _ = _stop(S)
+        p = S.period_hint
+
+        def answers():
+            targets = [M - 1, M, M + p + 1, 3 * M]
+            return (
+                [length_set(S, n) for n in targets],
+                [max_length(S, n) for n in targets],
+                [_delta_at(S, n) for n in targets],
+                [delta_periodicity(S, h) for h in (M, M + p, 3 * M)],
+                list(_deltas_up_to(S, 2 * M)),
+            )
+
+        certified = answers()
+        monkeypatch.setattr("numfac.delta._CERTIFICATE_BITS", 0)
+        assert answers() == certified
+
+
+class TestElementRefusals:
+    def _traced(self, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(Int64Overflow):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_length_count_cap(self, monkeypatch):
+        n = 10**6 + 1
+        L = length_set(MCNUGGET, n)
+        monkeypatch.setattr("numfac.delta._LENGTHS_LIMIT", len(L))
+        assert length_set(MCNUGGET, n) == L
+        monkeypatch.setattr("numfac.delta._LENGTHS_LIMIT", len(L) - 1)
+        assert self._traced(lambda: length_set(MCNUGGET, n)) < 1_000_000
+        # the cap counts lengths, not the scan: M(n) and Delta(n) still answer
+        assert max_length(MCNUGGET, n) == L[-1]
+        assert _delta_at(MCNUGGET, n) == delta_of_lengths(L)
+
+    def test_huge_length_set_refused_before_allocating(self):
+        # L(10**12) on <6,9,20> holds about 1.2e11 lengths
+        assert self._traced(lambda: length_set(MCNUGGET, 10**12)) < 1_000_000
+
+    def test_skipped_certificate_refused_past_the_budget(self, monkeypatch):
+        monkeypatch.setattr("numfac.delta._CERTIFICATE_BITS", 0)
+        # the budget reaches n = isqrt(2 * 6 * 10**6) = 3464 on <6,9,20>
+        monkeypatch.setattr("numfac.delta._SCAN_BIT_BUDGET", 10**6)
+        assert max_length(MCNUGGET, 3464) == (3464 - 20) // 6 + 1
+        for query in (length_set, max_length, _delta_at):
+            assert self._traced(lambda: query(MCNUGGET, 3466)) < 100_000
+
+    def test_unfired_certificate_refused_at_the_budget(self, monkeypatch):
+        # <6,9,20> can fire from 431 on and fires at 493; the budget reaches 450
+        monkeypatch.setattr("numfac.delta._SCAN_BIT_BUDGET", 450**2 // 12)
+        assert length_set(MCNUGGET, 450) == tuple(_mask_to_lengths(
+            deque(_length_masks_up_to(MCNUGGET, 450), maxlen=1)[0][1]).tolist())
+        for query in (length_set, max_length, _delta_at):
+            assert self._traced(lambda: query(MCNUGGET, 10**6)) < 1_000_000
+        # with a reach past 493 the slots answer any target
+        monkeypatch.setattr("numfac.delta._SCAN_BIT_BUDGET", 500**2 // 12)
+        assert _delta_at(MCNUGGET, 10**12) == (1, 4)

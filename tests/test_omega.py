@@ -84,6 +84,22 @@ class TestDynamicBullets:
                 by_value[v] = max(by_value.get(v, 0), sum(b))
             assert dict(dynamic_bullets(MCNUGGET, x)) == by_value
 
+    def test_long_bullet_scans_refused_before_scanning(self, monkeypatch):
+        # dynamic_bullets on <6,9,20> scans [-43, n], n + 44 integers
+        monkeypatch.setattr(omega_module, "_MODEL_TABLE_LIMIT", 100)
+        assert dynamic_bullets(MCNUGGET, 56)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Int64Overflow):
+                dynamic_bullets(MCNUGGET, 57)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        # the sweeps past N0 read the model, whose 160 integers pass the cap
+        monkeypatch.setattr(omega_module, "_MODEL_TABLE_LIMIT", 160)
+        assert omega_up_to(MCNUGGET, 1000)[1000] == 170
+
 
 class TestCoverMaps:
     @staticmethod

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from numfac import (
     omega,
     omega_up_to,
 )
-from numfac.delta import _delta_scan, _deltas_up_to, _mask_gaps
+from numfac.delta import _d_min, _delta_at, _delta_scan, _deltas_up_to, _mask_gaps, _Scan
 from numfac.factorization import _length_masks_up_to, _mask_to_lengths, _window_scan
 from numfac.omega import _admit, _blocks, _omega_blocks, _threshold
 from numfac.verify import _is_antichain
@@ -200,6 +201,12 @@ def test_min_delta_is_gcd_of_generator_differences(gens):
     assert delta_set(S)[0] == math.gcd(*(b - a for a, b in zip(g, g[1:])))
 
 
+def _scanned_deltas(S, n):
+    """Delta(m) off the length mask of every element up to n, with no certificate."""
+    step = _d_min(S.generators)
+    return {m: _mask_gaps(mask, step) for m, mask in _length_masks_up_to(S, n)}
+
+
 @given(gen_sets, st.none() | st.integers(0, 20000))
 @example([5, 7, 9], None)  # d_min = 2
 @example([6, 9, 20], 144)
@@ -209,11 +216,42 @@ def test_certified_delta_set_matches_full_scan(gens, bound):
     S = NumericalMonoid(gens)
     limit = delta_scan_bound(S) if bound is None else bound + S.period_hint
     assume(limit <= 60_000)
-    deltas = dict(_deltas_up_to(S, limit))
+    deltas = _scanned_deltas(S, limit)
     assert delta_set(S, bound_override=bound) == tuple(sorted(set().union(*deltas.values())))
     # and what it certifies: Delta(m) = Delta(m - p) past the stop
     last, p = _delta_scan(S, limit)[1], S.period_hint
     assert all(deltas[m] == deltas[m - p] for m in range(last + 1, limit + 1))
+
+
+@given(gen_sets)
+@example([5, 7, 9])  # d_min = 2
+@example([2, 3])
+# the windows of these still change after (W) and (O) have held for p + nk
+# elements, so a certificate that skipped (E) would answer wrongly past it
+@example([4, 14, 29, 31])
+@example([7, 11, 37, 38])
+@settings(max_examples=25, deadline=None)
+def test_slot_answers_match_the_mask_scan(gens):
+    # past the certificate's stop M, L(m), M(m) and Delta(m) come from its p slots
+    S = NumericalMonoid(gens)
+    limit = min(delta_scan_bound(S), 20_000)
+    scan = _Scan(S, limit)
+    last = deque(scan, maxlen=1)[0][0]
+    assume(scan.slots is not None)
+    M, p, step = last + 1, S.period_hint, _d_min(S.generators)
+    far = 3 * M + 7 * p + 1
+    masks = dict(_length_masks_up_to(S, far))
+    for m in [*range(M - p, M + 4 * p + 1), far]:
+        mask = masks[m]
+        assert scan.slots.lengths(m).tolist() == _mask_to_lengths(mask).tolist()
+        assert scan.slots.count(m) == mask.bit_count()
+        assert scan.slots.ends(m)[3] == mask.bit_length() - 1
+        assert scan.slots.delta(m) == _mask_gaps(mask, step)
+    # and the library queries, which find the slots themselves
+    for m in (M, M + p + 1, far):
+        assert length_set(S, m) == tuple(_mask_to_lengths(masks[m]).tolist())
+        assert max_length(S, m) == masks[m].bit_length() - 1
+        assert _delta_at(S, m) == _mask_gaps(masks[m], step)
 
 
 @given(gen_sets, st.integers(0, 120))
