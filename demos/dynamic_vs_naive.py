@@ -46,14 +46,15 @@ print(f"\nlength-set sweep (no factorizations stored): "
       f"{lengths_count} lengths in {lt * 1000:.1f} ms")
 
 t0 = time.perf_counter()
-omega_up_to(S, N)
+w = omega_up_to(S, N)
 wd = time.perf_counter() - t0
 print(f"omega dynamic scan over [-{S.frobenius}, {N}]: {wd * 1000:.1f} ms")
 
 t0 = time.perf_counter()
-for x in range(0, N + 1):
-    bullets_brute_force(S, x)
+bullets = [bullets_brute_force(S, x) for x in range(0, N + 1)]
 wn = time.perf_counter() - t0
+# omega(x) is the largest bullet length of x
+assert w == {x: max(map(sum, bullets[x])) for x in range(N + 1) if S.contains(x)}
 print(f"omega via per-element bullet enumeration:  {wn * 1000:.1f} ms")
 
 print(f"\nspeedups: factorizations x{naive / dyn:.1f}, omega x{wn / wd:.1f}")

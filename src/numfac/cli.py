@@ -19,9 +19,10 @@ separators around them in one vectorized pass, with no Python object
 per row, and writes each batch to stdout as the scan yields it.
 
 Exit codes (``_EXITS`` maps exceptions onto them): 0 success, 1 usage or
-precondition error (or stdout closed before the output was complete, as
-by ``| head``), 2 invalid monoid, 3 arithmetic overflow or out of memory,
-4 required element not in the monoid, 130 interrupted.
+precondition error, a failed ``verify`` check, or stdout closed before
+the output was complete (as by ``| head``), 2 invalid monoid, 3
+arithmetic overflow or out of memory, 4 required element not in the
+monoid, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -42,13 +43,7 @@ import numpy as np
 from . import __version__
 from .delta import _delta_at, _deltas_up_to, delta_periodicity, delta_set
 from .errors import Int64Overflow, MonoidInputError, NotInMonoid
-from .factorization import (
-    _sorted_grid,
-    brute_force_factorizations,
-    factorizations,
-    factorizations_up_to,
-    length_set,
-)
+from .factorization import factorizations, factorizations_up_to, length_set
 from .monoid import NumericalMonoid
 from .omega import (
     _omegas,
@@ -405,42 +400,6 @@ def _cmd_verify(S, args):
     )
 
 
-def _naive_factorizations(S, n):
-    # the naive route restarts per element: drop the memoized
-    # enumeration grid each time so the restart is real
-    for m in range(n + 1):
-        _sorted_grid.cache_clear()
-        yield brute_force_factorizations(S, m)
-
-
-def _cmd_bench(S, args):
-    n = args.n if args.n is not None else 300
-    routes = {
-        "factorizations dynamic": lambda: factorizations_up_to(S, n),
-        "factorizations naive": lambda: _naive_factorizations(S, n),
-        "omega dynamic": lambda: dynamic_bullets(S, n),
-        "omega naive": lambda: (bullets_brute_force(S, x) for x in range(-S.frobenius, n + 1)),
-    }
-    seconds = {}
-    for name, route in routes.items():
-        t0 = time.perf_counter()
-        for _ in route():
-            pass
-        seconds[name] = time.perf_counter() - t0
-
-    results = [{"name": name, "ms": int(s * 1000)} for name, s in seconds.items()]
-    faster = all(seconds[f"{what} dynamic"] < seconds[f"{what} naive"]
-                 for what in ("factorizations", "omega"))
-    return _Output(
-        {"results": results, "dynamic_faster": faster},
-        ["name", "ms"],
-        _lines([r["name"], r["ms"]] for r in results),
-        [f"{r['name']}: {r['ms']} ms\n" for r in results]
-        + [f"dynamic_faster: {str(faster).lower()}\n"],
-        ok=faster,
-    )
-
-
 class _Command(NamedTuple):
     run: Callable  # (monoid, args) -> _Output
     needs_n: bool = False
@@ -467,7 +426,6 @@ COMMANDS = {
     ),
     "plotdata": _Command(_cmd_plotdata, streams=True),
     "verify": _Command(_cmd_verify),
-    "bench": _Command(_cmd_bench),
 }
 
 

@@ -173,8 +173,10 @@ _CERTIFICATE_BITS = 1 << 24
 # Xeon, so this budget is about 12 s of scanning
 _SCAN_BIT_BUDGET = 10**11
 
-# lengths of one L(n) past which length_set refuses to list them
-_LENGTHS_LIMIT = 50_000_000
+# lengths of one L(n) past which length_set refuses to list them: a listed
+# length costs about 48 bytes (the int64 array, its ints and the tuple),
+# so the cap is about 480 MB
+_LENGTHS_LIMIT = 10_000_000
 
 
 class _Certificate(NamedTuple):

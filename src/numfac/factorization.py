@@ -223,7 +223,7 @@ def length_set(monoid: NumericalMonoid, n):
 
     Past the Delta certificate (see ``numfac.delta``) L(n) is read off
     its slots, with no scan to n.  A target that would need too long a
-    scan, or an L(n) of more than 50,000,000 lengths, is refused with
+    scan, or an L(n) of more than 10,000,000 lengths, is refused with
     Int64Overflow before the lengths are built.
     """
     n = _checked_target(n)

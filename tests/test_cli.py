@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import numfac
 from numfac import cli
 from numfac.cli import main
+from numfac.verify import PropertyResult
 
 
 def run(capsys, *argv):
@@ -77,6 +78,7 @@ class TestExitCodes:
         assert run(capsys, "no-such-command")[0] == 1
         assert run(capsys, "omega", "--gens", "6,9,20")[0] == 1  # missing --n
         assert run(capsys, "omega", "--gens", "a,b", "--n", "1")[0] == 1
+        assert run(capsys, "bench", "--gens", "6,9,20")[:2] == (1, "")  # no such command
 
     def test_invalid_monoid_is_2(self, capsys):
         assert run(capsys, "info", "--gens", "4,6")[0] == 2
@@ -301,7 +303,7 @@ class TestPlotData:
         assert out.splitlines() == ["n,d"]
 
 
-class TestVerifyAndBench:
+class TestVerify:
     def test_verify_passes_on_small_monoid(self, capsys):
         code, out, _ = run(capsys, "verify", "--gens", "2,3", "--n", "100")
         assert code == 0
@@ -324,16 +326,15 @@ class TestVerifyAndBench:
     def test_verify_rejects_bad_monoid(self, capsys):
         assert run(capsys, "verify", "--gens", "4,6")[0] == 2
 
-    def test_bench_reports_dynamic_faster(self, capsys):
-        code, out, _ = run(capsys, "bench", "--gens", "6,9,20", "--n", "250",
-                           "--format", "json")
-        assert code == 0
-        payload = json.loads(out)["payload"]
-        assert {r["name"] for r in payload["results"]} == {
-            "factorizations dynamic", "factorizations naive",
-            "omega dynamic", "omega naive",
-        }
-        assert payload["dynamic_faster"] is True
+    def test_failing_check_exits_1(self, capsys, monkeypatch):
+        failing = [PropertyResult("a check", 5, 2)]
+        monkeypatch.setattr("numfac.cli.run_suite", lambda S, n: failing)
+        argv = ["verify", "--gens", "6,9,20"]
+        assert run(capsys, *argv) == (1, "FAIL a check: checked 5, failures 2\n", "")
+        assert run(capsys, *argv, "--format", "csv") == (
+            1, "property,checked,failures\na check,5,2\n", "")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 1 and '"ok":false' in out
 
 
 class TestClosedPipe:

@@ -312,8 +312,10 @@ class TestElementRefusals:
         assert _delta_at(MCNUGGET, n) == delta_of_lengths(L)
 
     def test_huge_length_set_refused_before_allocating(self):
-        # L(10**12) on <6,9,20> holds about 1.2e11 lengths
-        assert self._traced(lambda: length_set(MCNUGGET, 10**12)) < 1_000_000
+        # L(n) on <6,9,20> holds about n / 8.6 lengths: 1.2e11 at 10**12, and
+        # 11.7e6 at 10**8, just over the cap
+        for n in (10**12, 10**8):
+            assert self._traced(lambda: length_set(MCNUGGET, n)) < 1_000_000
 
     def test_skipped_certificate_refused_past_the_budget(self, monkeypatch):
         monkeypatch.setattr("numfac.delta._CERTIFICATE_BITS", 0)

@@ -3,8 +3,7 @@
 Every case runs ``numfac.cli.main`` in-process and compares its exit
 code and its stdout with the files under ``tests/golden/``: stdout in
 ``<case>.out`` and every exit code in ``exit_codes.json``.  In JSON
-output only the ``timing_ms`` field is masked.  ``bench`` has no case:
-its output is wall-clock time (``test_cli`` checks its structure).
+output only the ``timing_ms`` field is masked.
 
 After an intended change of output, record the files again with
 
