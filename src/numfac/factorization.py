@@ -91,7 +91,9 @@ def _extend(preds):
         offsets.append(offsets[-1] + (0 if entry is None else len(entry[0]) - entry[1][i]))
     if not offsets[-1]:
         return None
-    Z = np.empty((offsets[-1], len(preds)), next(e for e in preds if e is not None)[0].dtype)
+    # column order: adding e_i touches one contiguous column of part i
+    Z = np.empty((offsets[-1], len(preds)), next(e for e in preds if e is not None)[0].dtype,
+                 order="F")
     for i, entry in enumerate(preds):
         lo, hi = offsets[i], offsets[i + 1]
         if lo < hi:
@@ -106,13 +108,18 @@ def factorizations_up_to(monoid: NumericalMonoid, n):
 
     Each Z(m) is a read-only numpy array of shape (len(Z(m)), k) holding
     one exponent vector per row, in descending lexicographic order.
-    Rows are never duplicated; no dedup pass runs.  Only the last nk
-    factorization sets are retained internally, so iterating without
-    keeping references streams in bounded memory.
+    Its dtype is the narrowest that holds every exponent: with
+    t = n // n1, int16 when t < 2**15 - 1, int32 when t < 2**31 - 1 and
+    int64 otherwise.  Each Z(m) is stored in column order
+    (F-contiguous); ``tolist``, ``tobytes`` and row iteration read it
+    row by row as usual.  Rows are never duplicated; no dedup pass
+    runs.  Only the last nk factorization sets are retained internally,
+    so iterating without keeping references streams in bounded memory.
     """
     n = _checked_target(n)
-    # no exponent exceeds n // n1
-    dtype = np.int32 if n // monoid.generators[0] < 2**31 - 1 else np.int64
+    # no exponent exceeds t = n // n1
+    t = n // monoid.generators[0]
+    dtype = np.int16 if t < 2**15 - 1 else np.int32 if t < 2**31 - 1 else np.int64
     zero = np.zeros((1, monoid.k), dtype=dtype)
     zero.setflags(write=False)
     first = (zero, [0] * monoid.k)

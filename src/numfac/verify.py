@@ -163,9 +163,11 @@ def delta_periodic_window(monoid: NumericalMonoid):
     B = delta_scan_bound(monoid)
     lcm = monoid.period_hint
     horizon = B + 2 * lcm
-    # the plain mask scan, independent of the certificate's slots
+    # the plain mask scan, independent of the certificate's slots; only
+    # the elements from B on are read, so only their gaps are taken
     step = _d_min(monoid.generators)
-    deltas = {m: _mask_gaps(mask, step) for m, mask in _length_masks_up_to(monoid, horizon)}
+    deltas = {m: _mask_gaps(mask, step)
+              for m, mask in _length_masks_up_to(monoid, horizon) if m >= B}
     checked = failures = 0
     for m in range(B, horizon - lcm + 1):
         if not monoid.contains(m):

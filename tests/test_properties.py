@@ -75,11 +75,14 @@ def test_minimal_generators_are_irredundant(gens):
         assert _representable_by(g, S.generators)
 
 
-@given(gen_sets, st.integers(1, 25))
+@given(gen_sets, st.data())
 @settings(max_examples=25, deadline=None)
-def test_apery_covers_residues(gens, s):
+def test_apery_covers_residues(gens, data):
     S = NumericalMonoid(gens)
-    assume(S.contains(s))
+    # s is drawn from the elements of S, so no monoid is filtered out;
+    # the range reaches n1 so it always holds one
+    top = max(S.generators[0], 25)
+    s = data.draw(st.sampled_from([m for m in range(1, top + 1) if S.contains(m)]))
     ap = S.apery_set(s)
     assert len(ap) == s
     assert sorted(v % s for v in ap) == list(range(s))
@@ -116,8 +119,14 @@ def _row_filter_extend(preds):
         return Z
 
 
+def _row_dtype(S, n):
+    # the narrowest dtype that holds every exponent up to n // n1
+    t = n // S.generators[0]
+    return np.int16 if t < 2**15 - 1 else np.int32 if t < 2**31 - 1 else np.int64
+
+
 def _assert_matches_row_filter(S, n):
-    zero = np.zeros((1, S.k), dtype=np.int32)  # the targets here keep int32
+    zero = np.zeros((1, S.k), dtype=_row_dtype(S, n))
     zero.setflags(write=False)
     reference = _window_scan(S.generators, 0, n, None,
                              lambda m, preds: _row_filter_extend(preds) if m else zero)
@@ -125,7 +134,7 @@ def _assert_matches_row_filter(S, n):
         assert m == m_ref
         assert Z.dtype == Z_ref.dtype and Z.shape == Z_ref.shape
         assert Z.tobytes() == Z_ref.tobytes()
-        assert not Z.flags.writeable
+        assert not Z.flags.writeable and Z.flags.f_contiguous
         if m:
             # the offsets rely on rows running in ascending first-nonzero index
             assert (np.diff((Z != 0).argmax(axis=1)) >= 0).all()
@@ -149,6 +158,24 @@ def test_suffix_offset_step_matches_row_filter(gens):
 ])
 def test_suffix_offset_step_matches_row_filter_on_table_monoids(gens, n):
     _assert_matches_row_filter(NumericalMonoid(gens), n)
+
+
+@pytest.mark.parametrize("n, dtype", [(32766, np.int16), (32767, np.int32)])
+def test_row_dtype_at_the_int16_boundary(n, dtype):
+    # on <1>, n // n1 = n: the largest int16 target and the first int32 one
+    last = deque(factorizations_up_to(NumericalMonoid([1]), n), maxlen=1)
+    m, Z = last[0]
+    assert m == n and Z.dtype == dtype
+    assert Z.tolist() == [[n]]
+    assert not Z.flags.writeable and Z.flags.f_contiguous
+
+
+def test_int16_sweep_matches_brute_force_row_by_row():
+    S = NumericalMonoid([6, 9, 20])
+    for m, Z in factorizations_up_to(S, 240):
+        assert Z.dtype == np.int16 and Z.flags.f_contiguous
+        brute = sorted(brute_force_factorizations(S, m), reverse=True)
+        assert list(map(tuple, Z.tolist())) == brute
 
 
 @given(gen_sets)
