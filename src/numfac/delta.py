@@ -315,22 +315,6 @@ class _Scan:
                 return
 
 
-def _delta_scan(monoid, limit):
-    """(Delta(S), last, slots): the union of Delta(m) for m up to min(certificate, limit).
-
-    ``last`` is the largest element whose Delta(m) was read: ``limit``
-    (or the last element below it) unless the certificate of the module
-    docstring fired at M = last + 1, and then ``slots`` is its `_Slots`
-    (None otherwise).
-    """
-    step = _d_min(monoid.generators)
-    scan = _Scan(monoid, limit)
-    gaps, last = set(), 0
-    for last, mask in scan:
-        gaps.update(_mask_gaps(mask, step))
-    return tuple(sorted(gaps)), last, scan.slots
-
-
 def _deltas_up_to(monoid, n):
     """Yield (m, Delta(m)) for monoid elements m in [0, n], Delta(m) a sorted tuple.
 
@@ -408,7 +392,11 @@ def delta_set(monoid: NumericalMonoid, bound_override=None):
         limit = require_i64(
             _checked_target(bound_override) + monoid.period_hint, "scan limit"
         )
-    return _delta_scan(monoid, limit)[0]
+    step = _d_min(monoid.generators)
+    gaps = set()
+    for _, mask in _Scan(monoid, limit):
+        gaps.update(_mask_gaps(mask, step))
+    return tuple(sorted(gaps))
 
 
 def _divisors(n):
@@ -435,8 +423,8 @@ def delta_periodicity(monoid: NumericalMonoid, horizon):
 
     Delta(m) is read off the length masks up to the certificate of the
     module docstring and, once it fires at M, off its slots: then only
-    Delta(m) for m <= min(horizon, M + lcm) is kept, since from M on every
-    m is in S and Delta(m) = Delta(m - lcm).  For the same reason, when the
+    Delta(m) for m < M is kept, since from M on every m is in S and
+    Delta(m) is that of its slot m mod lcm.  For the same reason, when the
     final window lies at or past M, the relation holds on every m >= M,
     so the backward scan starts below M.
     """
@@ -451,7 +439,7 @@ def delta_periodicity(monoid: NumericalMonoid, horizon):
 
     step = _d_min(monoid.generators)
     scan = _Scan(monoid, horizon)
-    deltas = []  # Delta(m) at index m, None for the gaps of the monoid
+    deltas = []  # Delta(m) at index m < M, None for the gaps of the monoid
     for m, mask in scan:
         if m > len(deltas):
             deltas += [None] * (m - len(deltas))
@@ -460,17 +448,13 @@ def delta_periodicity(monoid: NumericalMonoid, horizon):
     if scan.slots is None:  # no certificate: every m up to the horizon is kept
         M = horizon + 1
         deltas += [None] * (M - len(deltas))
-    else:
-        deltas += [scan.slots.delta(m) for m in range(M, min(horizon, M + lcm) + 1)]
-    top = len(deltas) - 1
 
     def agrees(m, p):
-        here = deltas[m] if m <= top else deltas[M + (m - M) % lcm]
+        here = deltas[m] if m < M else scan.slots.deltas[m % lcm]
         if here is None:
             return True
         m += p
-        there = deltas[m] if m <= top else deltas[M + (m - M) % lcm]
-        return here == there
+        return here == (deltas[m] if m < M else scan.slots.deltas[m % lcm])
 
     period, first = lcm, horizon - lcm
     for p in _divisors(lcm):

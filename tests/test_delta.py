@@ -21,7 +21,6 @@ from numfac.delta import (
     DeltaPeriodicityReport,
     _d_min,
     _delta_at,
-    _delta_scan,
     _deltas_up_to,
     _divisors,
     _mask_gaps,
@@ -30,6 +29,12 @@ from numfac.delta import (
 from numfac.factorization import _length_masks_up_to, _mask_to_lengths
 
 MCNUGGET = NumericalMonoid([6, 9, 20])
+
+
+def _scanned(S, limit):
+    """(last element scanned, slots) of a `_Scan` of S to limit; slots is None unless it certified."""
+    scan = _Scan(S, limit)
+    return deque(scan, maxlen=1)[0][0], scan.slots
 
 
 class TestDeltaOfLengths:
@@ -84,17 +89,19 @@ class TestCertificate:
     def test_runs_to_the_limit_when_it_never_fires(self, gens, bound):
         S = NumericalMonoid(gens)
         limit = bound + S.period_hint
-        assert _delta_scan(S, limit)[1:] == (limit, None)
+        assert _scanned(S, limit) == (limit, None)
 
     def test_stops_far_below_the_proven_bound(self):
-        gaps, last, slots = _delta_scan(MCNUGGET, delta_scan_bound(MCNUGGET))
-        assert gaps == (1, 2, 3, 4)
+        last, slots = _scanned(MCNUGGET, delta_scan_bound(MCNUGGET))
+        assert delta_set(MCNUGGET) == (1, 2, 3, 4)
         assert last < 1000
         assert slots is not None
 
     def test_naturals_scan_to_their_limit(self):
-        assert _delta_scan(NumericalMonoid([1]), 0) == ((), 0, None)
-        assert _delta_scan(NumericalMonoid([1]), 50) == ((), 50, None)
+        N = NumericalMonoid([1])
+        assert _scanned(N, 0) == (0, None)
+        assert _scanned(N, 50) == (50, None)
+        assert delta_set(N, bound_override=0) == delta_set(N, bound_override=49) == ()
 
     @staticmethod
     def _stop_when(monkeypatch, change, limit=2000):
@@ -106,9 +113,8 @@ class TestCertificate:
                 yield m, change(m, mask)
 
         monkeypatch.setattr("numfac.delta._length_masks_up_to", masks)
-        scan = _Scan(MCNUGGET, limit)
-        last = deque(scan, maxlen=1)[0][0]
-        return None if scan.slots is None else last + 1
+        last, slots = _scanned(MCNUGGET, limit)
+        return None if slots is None else last + 1
 
     def test_each_condition_holds_back_the_certificate(self, monkeypatch):
         # it fires at 493 = M on <6,9,20>, with p = 60 and nk = 20.  Each
@@ -137,7 +143,8 @@ class TestCertificate:
     def test_windows_over_the_cap_fall_back_to_the_limit(self, monkeypatch):
         monkeypatch.setattr("numfac.delta._CERTIFICATE_BITS", 0)
         limit = delta_scan_bound(MCNUGGET)
-        assert _delta_scan(MCNUGGET, limit) == ((1, 2, 3, 4), limit, None)
+        assert _scanned(MCNUGGET, limit) == (limit, None)
+        assert delta_set(MCNUGGET) == (1, 2, 3, 4)
 
 
 class TestPeriodicity:
@@ -224,14 +231,15 @@ def _plain_periodicity(monoid, horizon):
 
 def _stop(S):
     """(M, slots): where the certificate fires on S, and its slots."""
-    scan = _Scan(S, delta_scan_bound(S))
-    last = deque(scan, maxlen=1)[0][0]
-    assert scan.slots is not None
-    return last + 1, scan.slots
+    last, slots = _scanned(S, delta_scan_bound(S))
+    assert slots is not None
+    return last + 1, slots
 
 
-# monoids whose certificate fires, with M from 53 (<2,3>) to 3,533 (<11,53,73,87>)
-CERTIFYING = [(6, 9, 20), (7, 15, 17, 18, 20), (10, 17, 19, 25, 31), (2, 3), (11, 53, 73, 87)]
+# monoids whose certificate fires, with M from 53 (<2,3>) to 3,533 (<11,53,73,87>);
+# <10,12,15> has lcm + nk = 45 < F = 53, so a horizon of F ends in a gap of S
+CERTIFYING = [(6, 9, 20), (7, 15, 17, 18, 20), (10, 17, 19, 25, 31), (2, 3), (11, 53, 73, 87),
+              (10, 12, 15)]
 
 
 class TestPastTheCertificate:
@@ -240,7 +248,7 @@ class TestPastTheCertificate:
         S = NumericalMonoid(gens)
         M, _ = _stop(S)
         lcm, nk = S.period_hint, S.generators[-1]
-        for horizon in [lcm + nk, M - 1, M, M + 1, M + lcm, 5 * M]:
+        for horizon in [lcm + nk, S.frobenius, M - 1, M, M + 1, M + lcm, 5 * M]:
             if horizon >= lcm + nk:
                 assert delta_periodicity(S, horizon) == _plain_periodicity(S, horizon), horizon
 
@@ -249,9 +257,8 @@ class TestPastTheCertificate:
     @settings(max_examples=25, deadline=None)
     def test_periodicity_matches_the_full_scan_on_small_monoids(self, gens):
         S = NumericalMonoid(gens)
-        scan = _Scan(S, min(delta_scan_bound(S), 20_000))
-        last = deque(scan, maxlen=1)[0][0]
-        assume(scan.slots is not None)
+        last, slots = _scanned(S, min(delta_scan_bound(S), 20_000))
+        assume(slots is not None)
         M, lcm = last + 1, S.period_hint
         for horizon in {M - 1, M, M + lcm, 2 * M + lcm + 1}:
             if horizon >= lcm + S.generators[-1]:

@@ -24,7 +24,7 @@ from numfac import (
     omega,
     omega_up_to,
 )
-from numfac.delta import _d_min, _delta_at, _delta_scan, _deltas_up_to, _mask_gaps, _Scan
+from numfac.delta import _d_min, _delta_at, _deltas_up_to, _mask_gaps, _Scan
 from numfac.factorization import _length_masks_up_to, _mask_to_lengths, _window_scan
 from numfac.omega import _admit, _blocks, _omega_blocks, _threshold
 from numfac.verify import _is_antichain
@@ -246,7 +246,7 @@ def test_certified_delta_set_matches_full_scan(gens, bound):
     deltas = _scanned_deltas(S, limit)
     assert delta_set(S, bound_override=bound) == tuple(sorted(set().union(*deltas.values())))
     # and what it certifies: Delta(m) = Delta(m - p) past the stop
-    last, p = _delta_scan(S, limit)[1], S.period_hint
+    last, p = deque(_Scan(S, limit), maxlen=1)[0][0], S.period_hint
     assert all(deltas[m] == deltas[m - p] for m in range(last + 1, limit + 1))
 
 
