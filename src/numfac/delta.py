@@ -169,8 +169,8 @@ _CERTIFICATE_BITS = 1 << 24
 
 # bit operations a scan may spend on one element query: reaching n costs
 # about n^2 / (2 n1) of them, since the mask of m holds about m / n1 bits.
-# max_length on <6,9,20> does 7.5e9 of them (n = 3e5) in 0.9 s on a 2-core
-# Xeon, so this budget is about 12 s of scanning
+# A plain mask scan of <6,9,20> to n = 3e5 does 7.5e9 of them in 0.51-1.0 s
+# on a shared 2-core Xeon, so this budget is about 7 to 13 s of scanning
 _SCAN_BIT_BUDGET = 10**11
 
 # lengths of one L(n) past which length_set refuses to list them: a listed

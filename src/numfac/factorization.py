@@ -19,12 +19,14 @@ keeps its order.
 
 Length sets satisfy the same recurrence with "append e_i" replaced by
 "+1", which is why they can be scanned without ever materializing a
-factorization.  One ring-buffer loop, ``_window_scan``, drives both: it
-keeps only the last nk results, so memory stays proportional to the
-window, not to the target, and each scan is just its step.  (omega's
-dynamic bullets run their own loop, a block of n1 elements per step.)
-Membership comes from the recurrence itself: m > 0 lies in S iff some
-m - ni does, so an empty union marks a gap.
+factorization.  Each recurrence is one direct loop over a ring buffer of
+the last nk results, so memory stays proportional to the window, not to
+the target.  Both loops read the predecessors of m through one slot
+table, built once per scan by ``_slots``: the ring slots (r - ni) % nk
+of the residue r = m mod nk.  (omega's dynamic bullets run their own
+loop, a block of n1 elements per step.)  Membership comes from the
+recurrence itself: m > 0 lies in S iff some m - ni does, so an empty
+union marks a gap.
 
 Length sets are stored internally as integer bitmasks (bit l set iff l
 is an attainable length); shifting a mask left by one adds 1 to every
@@ -59,21 +61,10 @@ def _checked_target(n):
     return n
 
 
-def _window_scan(gens, start, n, fill, step):
-    """Yield (m, entry) for every integer m in [start, n] whose entry is not None.
-
-    The entry of m is ``step(m, preds)``, where preds[i] is the entry of
-    m - ni and every integer below ``start`` has the entry ``fill``.
-    Only the last nk entries are kept, in a ring indexed by m mod nk.
-    """
+def _slots(gens, n):
+    """slots[r]: the ring slots (r - ni) % nk of m - n1, ..., m - nk for m mod nk = r."""
     nk = gens[-1]
-    # a slot below start is still unwritten when it is read
-    window = [fill] * nk
-    for m in range(start, n + 1):
-        entry = step(m, [window[(m - g) % nk] for g in gens])
-        window[m % nk] = entry
-        if entry is not None:
-            yield m, entry
+    return [tuple((r - g) % nk for g in gens) for r in range(min(nk, n + 1))]
 
 
 def _final(scan):
@@ -122,10 +113,15 @@ def factorizations_up_to(monoid: NumericalMonoid, n):
     dtype = np.int16 if t < 2**15 - 1 else np.int32 if t < 2**31 - 1 else np.int64
     zero = np.zeros((1, monoid.k), dtype=dtype)
     zero.setflags(write=False)
-    first = (zero, [0] * monoid.k)
-    for m, (Z, _) in _window_scan(monoid.generators, 0, n, None,
-                                  lambda m, preds: _extend(preds) if m else first):
-        yield m, Z
+    nk, slots = monoid.generators[-1], _slots(monoid.generators, n)
+    # a slot not yet written holds None, the entry of a gap
+    window = [None] * nk
+    window[0] = (zero, [0] * monoid.k)
+    yield 0, zero
+    for m in range(1, n + 1):
+        entry = window[m % nk] = _extend([window[i] for i in slots[m % nk]])
+        if entry is not None:
+            yield m, entry[0]
 
 
 def factorizations(monoid: NumericalMonoid, n):
@@ -189,20 +185,23 @@ def brute_force_factorizations(monoid: NumericalMonoid, n, support=None):
     return set(map(tuple, full.tolist()))
 
 
-def _length_step(m, preds):
-    # L(m) is the union of L(m - ni) + 1; an empty union means m is not in S
-    if not m:
-        return 1
-    mask = 0
-    for prev in preds:
-        if prev:
-            mask |= prev
-    return mask << 1 or None
-
-
 def _length_masks_up_to(monoid, n):
     """Yield (m, bitmask of L(m)) for monoid elements m in [0, n]."""
-    yield from _window_scan(monoid.generators, 0, _checked_target(n), None, _length_step)
+    n = _checked_target(n)
+    nk, slots = monoid.generators[-1], _slots(monoid.generators, n)
+    # L(m) is the union of L(m - ni) + 1; a gap, and a slot not yet
+    # written, holds the empty mask 0
+    window = [0] * nk
+    window[0] = 1
+    yield 0, 1
+    for m in range(1, n + 1):
+        mask = 0
+        for i in slots[m % nk]:
+            mask |= window[i]
+        mask <<= 1
+        window[m % nk] = mask
+        if mask:
+            yield m, mask
 
 
 def _mask_to_lengths(mask):

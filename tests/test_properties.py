@@ -25,7 +25,7 @@ from numfac import (
     omega_up_to,
 )
 from numfac.delta import _d_min, _delta_at, _deltas_up_to, _mask_gaps, _Scan
-from numfac.factorization import _length_masks_up_to, _mask_to_lengths, _window_scan
+from numfac.factorization import _length_masks_up_to, _mask_to_lengths
 from numfac.omega import _admit, _blocks, _omega_blocks, _threshold
 from numfac.verify import _is_antichain
 
@@ -98,6 +98,71 @@ def test_dynamic_factorizations_equal_oracle(gens):
                  for m, Z in factorizations_up_to(S, limit)}
     for m in range(limit + 1):
         assert collected.get(m, set()) == brute_force_factorizations(S, m)
+
+
+def _window_scan(gens, start, n, fill, step):
+    """Yield (m, entry) for every integer m in [start, n] whose entry is not None.
+
+    The generic ring buffer the library's direct loops are checked
+    against: the entry of m is ``step(m, preds)``, where preds[i] is the
+    entry of m - ni and every integer below ``start`` has the entry
+    ``fill``.  Only the last nk entries are kept, in a ring indexed by
+    m mod nk.
+    """
+    nk = gens[-1]
+    # a slot below start is still unwritten when it is read
+    window = [fill] * nk
+    for m in range(start, n + 1):
+        entry = step(m, [window[(m - g) % nk] for g in gens])
+        window[m % nk] = entry
+        if entry is not None:
+            yield m, entry
+
+
+def _length_step(m, preds):
+    # L(m) is the union of L(m - ni) + 1; an empty union means m is not in S
+    if not m:
+        return 1
+    mask = 0
+    for prev in preds:
+        if prev:
+            mask |= prev
+    return mask << 1 or None
+
+
+def _assert_masks_match_reference(S, n):
+    reference = _window_scan(S.generators, 0, n, None, _length_step)
+    assert list(_length_masks_up_to(S, n)) == list(reference)
+
+
+@given(gen_sets)
+@example([1])
+@example([2, 3])
+@settings(max_examples=30, deadline=None)
+def test_length_masks_match_the_reference_scan(gens):
+    S = NumericalMonoid(gens)
+    _assert_masks_match_reference(S, min(2 * S.frobenius + 20, 300))
+
+
+@pytest.mark.parametrize("gens", [(100, 121, 142, 163, 284), (51, 53, 55, 117)])
+def test_length_masks_match_the_reference_scan_on_table_monoids(gens):
+    _assert_masks_match_reference(NumericalMonoid(gens), 3000)
+
+
+@pytest.mark.parametrize("gens", [(1,), (2, 3), (6, 9, 20), (100, 121, 142, 163, 284)])
+def test_scans_at_the_first_wrap_of_the_ring(gens):
+    # targets before, at and just past the first wrap of the nk-slot ring
+    S = NumericalMonoid(gens)
+    nk = S.generators[-1]
+    for n in sorted({0, 1, nk - 1, nk, nk + 1}):
+        (m, Z), = deque(factorizations_up_to(S, n), maxlen=1)
+        (m_mask, mask), = deque(_length_masks_up_to(S, n), maxlen=1)
+        # both scans end at the largest element up to n
+        assert m == m_mask == max(e for e in range(n + 1) if S.contains(e))
+        rows = set(map(tuple, Z.tolist()))
+        assert rows == brute_force_factorizations(S, m)
+        assert (rows if m == n else set()) == brute_force_factorizations(S, n)
+        assert _mask_to_lengths(mask).tolist() == sorted({sum(a) for a in rows})
 
 
 def _row_filter_extend(preds):
