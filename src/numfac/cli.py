@@ -1,17 +1,26 @@
 """Command-line interface.
 
     numfac <command> --gens <comma-separated positive ints>
-           [--n INT] [--horizon INT] [--bound INT]
-           [--domain monoid|quotient] [--format plain|json|csv]
-           [--stream] [--method dp|apery|brute]
+           [--format plain|json|csv] <options of the command>
 
-Results are printed to stdout; diagnostics go to stderr.  JSON output is
-one canonical document (sorted keys, no whitespace) wrapping the
-command payload in an envelope that echoes the minimal generators and
-the Frobenius number.  ``--stream`` switches the sweep commands
-(factorizations-up-to, omega-up-to, plotdata) to JSON Lines, one element
-per line.  All numbers are integers except the
-quasilinear offsets, which are exact fractions rendered as "p/q".
+    contains, apery, factorizations, lengths, delta, omega   --n INT
+    factorizations-up-to      --n INT [--stream]
+    omega-up-to               --n INT [--domain monoid|quotient] [--stream]
+    bullets                   --n INT [--method dp|apery|brute]
+    delta-set                 [--bound INT]
+    delta-periodicity         [--horizon INT]
+    plotdata delta|omega      --horizon INT [--stream]
+    verify                    [--n INT]  (default 200)
+    info, pseudo-frobenius, quasilinear, dissonance   no other option
+
+Each command takes only the options listed for it (``COMMANDS``
+declares them); any other is a usage error.  Results are printed to
+stdout; diagnostics go to stderr.  JSON output is one canonical
+document (sorted keys, no whitespace) wrapping the command payload in
+an envelope that echoes the minimal generators and the Frobenius
+number.  ``--stream`` switches a sweep to JSON Lines, one element per
+line.  All numbers are integers except the quasilinear offsets, which
+are exact fractions rendered as "p/q".
 
 Tables of integers (the sweeps, factorizations, bullets) leave as text a
 batch of rows at a time: ``_text`` renders int columns and the literal
@@ -41,9 +50,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .delta import _delta_at, _deltas_up_to, delta_periodicity, delta_set
+from .delta import _delta_at, _deltas_up_to, delta_periodicity, delta_set, length_set
 from .errors import Int64Overflow, MonoidInputError, NotInMonoid
-from .factorization import factorizations, factorizations_up_to, length_set
+from .factorization import factorizations, factorizations_up_to
 from .monoid import NumericalMonoid
 from .omega import (
     _omegas,
@@ -64,27 +73,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _ints(text):
+    return [int(p) for p in text.split(",") if p.strip()]
+
+
 def _build_parser():
     parser = _Parser(prog="numfac", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"numfac {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def ints(text):
-        return [int(p) for p in text.split(",") if p.strip()]
-
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, prog=f"numfac {name}")
-        if name == "plotdata":
-            p.add_argument("kind", choices=("delta", "omega"))
-        p.add_argument("--gens", type=ints, required=True,
+        p.add_argument("--gens", type=_ints, required=True,
                        help="comma-separated positive integers")
-        p.add_argument("--n", type=int, default=None, required=command.needs_n)
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--bound", type=int, default=None)
-        p.add_argument("--domain", choices=("monoid", "quotient"), default="monoid")
+        for flag, spec in command.options.items():
+            p.add_argument(flag, **spec)
         p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-        p.add_argument("--stream", action="store_true")
-        p.add_argument("--method", choices=("dp", "apery", "brute"), default="dp")
     return parser
 
 
@@ -357,18 +360,13 @@ def _cmd_quasilinear(S, args, keys=("n1", "threshold", "dissonance", "dissonance
 
 
 def _cmd_plotdata(S, args):
-    horizon = args.horizon
-    if horizon is None:
-        horizon = args.n
-    if horizon is None:
-        raise ValueError("plotdata requires --horizon")
     if args.kind == "delta":
         batches = ((np.repeat(ms, [len(g) for g in gaps]),
                     np.fromiter(itertools.chain.from_iterable(gaps), np.int64))
-                   for ms, gaps in _grouped(_deltas_up_to(S, horizon)))
+                   for ms, gaps in _grouped(_deltas_up_to(S, args.horizon)))
         header = ["n", "d"]
     else:
-        batches = _omega_rows(S, horizon)
+        batches = _omega_rows(S, args.horizon)
         header = ["n", "omega", "in_monoid"]
     return _table({"kind": args.kind}, "rows", header, batches, " ")
 
@@ -385,8 +383,7 @@ def _omega_rows(S, horizon):
 
 
 def _cmd_verify(S, args):
-    n = args.n if args.n is not None else 200
-    results = run_suite(S, n=n)
+    results = run_suite(S, n=args.n)
     ok = all(r.ok for r in results)
     return _Output(
         {"properties": [{"name": r.name, "checked": r.checked, "failures": r.failures}
@@ -402,35 +399,42 @@ def _cmd_verify(S, args):
 
 class _Command(NamedTuple):
     run: Callable  # (monoid, args) -> _Output
-    needs_n: bool = False
-    streams: bool = False
+    options: dict = {}  # argument -> add_argument keywords, besides --gens and --format
 
+
+_N = {"--n": {"type": int, "required": True}}
+_STREAM = {"--stream": {"action": "store_true"}}
 
 COMMANDS = {
     "info": _Command(_cmd_info),
-    "contains": _Command(_cmd_contains, needs_n=True),
-    "apery": _Command(_cmd_apery, needs_n=True),
+    "contains": _Command(_cmd_contains, _N),
+    "apery": _Command(_cmd_apery, _N),
     "pseudo-frobenius": _Command(_cmd_pseudo_frobenius),
-    "factorizations": _Command(_cmd_factorizations, needs_n=True),
-    "factorizations-up-to": _Command(_cmd_factorizations_up_to, needs_n=True, streams=True),
-    "lengths": _Command(_cmd_lengths, needs_n=True),
-    "delta": _Command(_cmd_delta, needs_n=True),
-    "delta-set": _Command(_cmd_delta_set),
-    "delta-periodicity": _Command(_cmd_delta_periodicity),
-    "omega": _Command(_cmd_omega, needs_n=True),
-    "omega-up-to": _Command(_cmd_omega_up_to, needs_n=True, streams=True),
-    "bullets": _Command(_cmd_bullets, needs_n=True),
+    "factorizations": _Command(_cmd_factorizations, _N),
+    "factorizations-up-to": _Command(_cmd_factorizations_up_to, _N | _STREAM),
+    "lengths": _Command(_cmd_lengths, _N),
+    "delta": _Command(_cmd_delta, _N),
+    "delta-set": _Command(_cmd_delta_set, {"--bound": {"type": int}}),
+    "delta-periodicity": _Command(_cmd_delta_periodicity, {"--horizon": {"type": int}}),
+    "omega": _Command(_cmd_omega, _N),
+    "omega-up-to": _Command(_cmd_omega_up_to, _N | _STREAM | {
+        "--domain": {"choices": ("monoid", "quotient"), "default": "monoid"}}),
+    "bullets": _Command(_cmd_bullets, _N | {
+        "--method": {"choices": ("dp", "apery", "brute"), "default": "dp"}}),
     "quasilinear": _Command(_cmd_quasilinear),
     "dissonance": _Command(
         functools.partial(_cmd_quasilinear, keys=("dissonance", "dissonance_in_monoid"))
     ),
-    "plotdata": _Command(_cmd_plotdata, streams=True),
-    "verify": _Command(_cmd_verify),
+    "plotdata": _Command(_cmd_plotdata, {
+        "kind": {"choices": ("delta", "omega")},
+        "--horizon": {"type": int, "required": True}} | _STREAM),
+    "verify": _Command(_cmd_verify, {"--n": {"type": int, "default": 200}}),
 }
 
 
 def _render(out, args, S, started):
-    if args.format == "json" and not args.stream:
+    stream = getattr(args, "stream", False)  # only the sweeps take --stream
+    if args.format == "json" and not stream:
         payload = {k: list(v) if isinstance(v, Iterator) else v for k, v in out.payload.items()}
         print(_dumps({
             "command": args.command,
@@ -439,8 +443,8 @@ def _render(out, args, S, started):
             "timing_ms": int((time.perf_counter() - started) * 1000),
         }))
         return
-    csv = args.format == "csv" and not args.stream
-    text = iter(out.stream if args.stream else out.csv if csv else out.plain)
+    csv = args.format == "csv" and not stream
+    text = iter(out.stream if stream else out.csv if csv else out.plain)
     # the first piece runs a sweep's input checks, so a refused input
     # prints no header
     first = next(text, "")
@@ -467,14 +471,11 @@ def main(argv=None):
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
-    command = COMMANDS[args.command]
 
     started = time.perf_counter()
     try:
         S = NumericalMonoid(args.gens)
-        if args.stream and not command.streams:
-            raise ValueError(f"--stream is not supported for {args.command}")
-        out = command.run(S, args)
+        out = COMMANDS[args.command].run(S, args)
         _render(out, args, S, started)
         sys.stdout.flush()
     except BrokenPipeError:

@@ -95,7 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import HorizonTooSmall, Int64Overflow
+from .errors import HorizonTooSmall, Int64Overflow, NotInMonoid
 from .factorization import _checked_target, _length_masks_up_to, _mask_to_lengths
 from .monoid import _MEMBER_TABLE_LIMIT, NumericalMonoid, require_i64
 
@@ -105,6 +105,8 @@ __all__ = [
     "delta_set",
     "delta_periodicity",
     "DeltaPeriodicityReport",
+    "length_set",
+    "max_length",
 ]
 
 
@@ -353,17 +355,28 @@ def _element(monoid, n):
     return mask, None
 
 
-def _lengths_at(monoid, n):
-    """L(n) of an element n as a sorted numpy int array; Int64Overflow past ``_LENGTHS_LIMIT`` lengths."""
+def length_set(monoid: NumericalMonoid, n):
+    """L(n) as a tuple of increasing lengths; empty iff n not in the monoid.
+
+    Past the certificate L(n) is read off its slots, with no scan to n.
+    Int64Overflow refuses a scan past ``_SCAN_BIT_BUDGET``, and an L(n)
+    of over ``_LENGTHS_LIMIT`` lengths before they are built.
+    """
+    n = _checked_target(n)
+    if not monoid.contains(n):
+        return ()
     mask, slots = _element(monoid, n)
     count = mask.bit_count() if slots is None else slots.count(n)
     if count > _LENGTHS_LIMIT:
         raise Int64Overflow(f"L({n}) holds {count} lengths, over the cap of {_LENGTHS_LIMIT}")
-    return _mask_to_lengths(mask) if slots is None else slots.lengths(n)
+    return tuple((_mask_to_lengths(mask) if slots is None else slots.lengths(n)).tolist())
 
 
-def _max_length_at(monoid, n):
-    """M(n), the largest length of an element n."""
+def max_length(monoid: NumericalMonoid, n):
+    """Largest factorization length M(n) of an element n, read and refused as in ``length_set``."""
+    n = _checked_target(n)
+    if not monoid.contains(n):
+        raise NotInMonoid(f"{n} is not an element of {monoid!r}")
     mask, slots = _element(monoid, n)
     return mask.bit_length() - 1 if slots is None else slots.ends(n)[3]
 

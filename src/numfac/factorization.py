@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NegativeTarget, NotAGenerator, NotInMonoid
+from .errors import Int64Overflow, NegativeTarget, NotAGenerator
 from .monoid import NumericalMonoid, require_i64
 
 __all__ = [
@@ -49,8 +49,6 @@ __all__ = [
     "factorizations",
     "brute_force_factorizations",
     "length_sets_up_to",
-    "length_set",
-    "max_length",
 ]
 
 
@@ -137,6 +135,12 @@ def _grid_budget(budget):
     return (budget // 256 + 1) * 256
 
 
+# rows a grid stage may hold: the largest grid the demos and tests build
+# has 1,226,868 rows, and a stage of 2**21 rows of k int64 columns takes
+# about 16 k MiB
+_GRID_ROWS_LIMIT = 2**21
+
+
 @lru_cache(maxsize=64)
 def _sorted_grid(gens, budget):
     """All exponent vectors over `gens` with value <= budget, ordered by value.
@@ -145,14 +149,21 @@ def _sorted_grid(gens, budget):
     generator (in the given order), values its dot product with gens,
     ascending, so exact values are slice lookups.  Built by extending
     with the largest generator first to keep the intermediate row
-    counts small.
+    counts small.  A stage of more than ``_GRID_ROWS_LIMIT`` rows is
+    refused with Int64Overflow before it is allocated.
     """
+    # the grid holds the budget // g + 1 multiples of each g, so this check,
+    # in Python ints, leaves numpy a budget and row sums in int64
+    if any(budget // g >= _GRID_ROWS_LIMIT for g in gens):
+        raise Int64Overflow(f"a grid of vectors up to {budget} exceeds {_GRID_ROWS_LIMIT} rows")
+    budget = require_i64(budget, "grid budget")
     rows = np.zeros((1, 0), dtype=np.int64)
     values = np.zeros(1, dtype=np.int64)
     for g in reversed(gens):
-        cap = (budget - values) // g
-        reps = cap + 1
+        reps = (budget - values) // g + 1
         total = int(reps.sum())
+        if total > _GRID_ROWS_LIMIT:
+            raise Int64Overflow(f"a grid of vectors up to {budget} exceeds {_GRID_ROWS_LIMIT} rows")
         idx = np.repeat(np.arange(len(rows)), reps)
         starts = np.repeat(np.cumsum(reps) - reps, reps)
         counts = np.arange(total) - starts
@@ -222,33 +233,3 @@ def length_sets_up_to(monoid: NumericalMonoid, n):
     """
     for m, mask in _length_masks_up_to(monoid, n):
         yield m, _mask_to_lengths(mask)
-
-
-def length_set(monoid: NumericalMonoid, n):
-    """L(n) as a tuple of increasing lengths; empty iff n not in the monoid.
-
-    Past the Delta certificate (see ``numfac.delta``) L(n) is read off
-    its slots, with no scan to n.  A target that would need too long a
-    scan, or an L(n) of more than 10,000,000 lengths, is refused with
-    Int64Overflow before the lengths are built.
-    """
-    n = _checked_target(n)
-    if not monoid.contains(n):
-        return ()
-    from .delta import _lengths_at  # delta builds on this module
-
-    return tuple(_lengths_at(monoid, n).tolist())
-
-
-def max_length(monoid: NumericalMonoid, n):
-    """Largest factorization length M(n); requires n in the monoid.
-
-    Read off the Delta certificate's slots past it, as in ``length_set``,
-    and refused the same way when its scan would take too long.
-    """
-    n = _checked_target(n)
-    if not monoid.contains(n):
-        raise NotInMonoid(f"{n} is not an element of {monoid!r}")
-    from .delta import _max_length_at
-
-    return _max_length_at(monoid, n)

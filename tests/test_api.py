@@ -7,13 +7,13 @@ import numfac
 # home module -> the public names the package re-exports from it
 PUBLIC = {
     "delta": {"DeltaPeriodicityReport", "delta_of_lengths", "delta_periodicity",
-              "delta_scan_bound", "delta_set"},
+              "delta_scan_bound", "delta_set", "length_set", "max_length"},
     "errors": {"BelowThreshold", "EmptyGenerators", "EmptySubset", "HorizonTooSmall",
                "Int64Overflow", "MonoidInputError", "NegativeTarget", "NonCoprime",
                "NonPositiveBase", "NotAGenerator", "NotInMonoid", "TargetBelowBase",
                "ZeroGenerator"},
     "factorization": {"brute_force_factorizations", "factorizations", "factorizations_up_to",
-                      "length_set", "length_sets_up_to", "max_length"},
+                      "length_sets_up_to"},
     "monoid": {"AperySet", "NumericalMonoid"},
     "omega": {"QuasilinearModel", "bullets_brute_force", "bullets_via_apery",
               "dynamic_bullets", "omega", "omega_extrapolate", "omega_up_to",

@@ -140,6 +140,48 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+# the options each command takes besides --gens and --format, and a value
+# for each option (--stream takes none)
+TAKES = {
+    "info": [], "contains": ["--n"], "apery": ["--n"], "pseudo-frobenius": [],
+    "factorizations": ["--n"], "factorizations-up-to": ["--n", "--stream"],
+    "lengths": ["--n"], "delta": ["--n"], "delta-set": ["--bound"],
+    "delta-periodicity": ["--horizon"], "omega": ["--n"],
+    "omega-up-to": ["--n", "--domain", "--stream"], "bullets": ["--n", "--method"],
+    "quasilinear": [], "dissonance": [], "plotdata": ["--horizon", "--stream"],
+    "verify": ["--n"],
+}
+VALUES = {"--n": ["60"], "--horizon": ["120"], "--bound": ["144"], "--domain": ["quotient"],
+          "--stream": [], "--method": ["brute"]}
+
+
+def _taking_all(command):
+    """An argv of ``command`` on <6,9,20> with every option it takes."""
+    argv = [command, *(["delta"] if command == "plotdata" else []), "--gens", "6,9,20"]
+    for option in TAKES[command]:
+        argv += [option, *VALUES[option]]
+    return argv
+
+
+class TestOptions:
+    def test_the_table_names_every_command(self):
+        assert set(TAKES) == set(cli.COMMANDS)
+        assert sum(map(len, TAKES.values())) + len(TAKES) == 35  # --format too
+
+    @pytest.mark.parametrize("command", sorted(TAKES))
+    def test_each_command_takes_its_options(self, capsys, command):
+        assert run(capsys, *_taking_all(command), "--format", "csv")[0] == 0
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, takes in TAKES.items()
+        for option in VALUES if option not in takes])
+    def test_any_other_option_is_a_usage_error(self, capsys, command, option):
+        assert run(capsys, *_taking_all(command), option, *VALUES[option])[:2] == (1, "")
+
+    def test_plotdata_n_is_not_a_horizon(self, capsys):
+        assert run(capsys, "plotdata", "delta", "--gens", "6,9,20", "--n", "100")[:2] == (1, "")
+
+
 class TestElementQueries:
     def test_far_delta_answers_from_the_certificate(self, capsys):
         assert run(capsys, "delta", "--gens", "6,9,20", "--n", "1000000000000")[:2] == (0, "1 4\n")
@@ -311,7 +353,8 @@ class TestVerify:
         assert "PASS" in out
 
     def test_verify_passes_on_mcnugget(self, capsys):
-        code, out, _ = run(capsys, "verify", "--gens", "6,9,20", "--n", "200")
+        # no --n: verify checks up to 200, as the benchmark's verify query does
+        code, out, _ = run(capsys, "verify", "--gens", "6,9,20")
         assert code == 0
         assert "FAIL" not in out
 

@@ -3,7 +3,8 @@
 Every case runs ``numfac.cli.main`` in-process and compares its exit
 code and its stdout with the files under ``tests/golden/``: stdout in
 ``<case>.out`` and every exit code in ``exit_codes.json``.  In JSON
-output only the ``timing_ms`` field is masked.
+output only the ``timing_ms`` field is masked.  Each command of a
+monoid is passed only the options it takes (``numfac.cli.COMMANDS``).
 
 After an intended change of output, record the files again with
 
@@ -21,17 +22,17 @@ from pathlib import Path
 
 import pytest
 
-from numfac.cli import main
+from numfac import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 EXIT_CODES = GOLDEN / "exit_codes.json"
 
-# per monoid: its tag and the flags every command of it gets
+# per monoid: its tag, its --gens and a value for each option; a command
+# gets --gens and those of the options that it takes
 MONOIDS = [
-    ("6-9-20", ["--gens", "6,9,20", "--n", "60", "--horizon", "120"]),
-    ("10-17-19-25-31", ["--gens", "10,17,19,25,31", "--n", "40", "--horizon", "400",
-                        "--bound", "300"]),
-    ("1", ["--gens", "1", "--n", "5", "--horizon", "10"]),
+    ("6-9-20", "6,9,20", {"--n": "60", "--horizon": "120"}),
+    ("10-17-19-25-31", "10,17,19,25,31", {"--n": "40", "--horizon": "400", "--bound": "300"}),
+    ("1", "1", {"--n": "5", "--horizon": "10"}),
 ]
 COMMANDS = [
     ["info"], ["contains"], ["apery"], ["pseudo-frobenius"], ["factorizations"],
@@ -72,10 +73,15 @@ CALLS = {
 
 def _cases():
     cases = dict(CALLS)
-    for tag, flags in MONOIDS:
+    for tag, gens, values in MONOIDS:
         commands = COMMANDS + (EXTRA if tag == MONOIDS[0][0] else [])
         for command in commands:
             name = f"{tag}." + "-".join(a.lstrip("-") for a in command)
+            options = cli.COMMANDS[command[0]].options
+            flags = ["--gens", gens]
+            for flag, value in values.items():
+                if flag in options:
+                    flags += [flag, value]
             for fmt in ("plain", "csv", "json"):
                 cases[f"{name}.{fmt}"] = command + flags + ["--format", fmt]
             if command in STREAMED:
@@ -90,7 +96,7 @@ def run_case(argv):
     """(exit code, stdout with ``timing_ms`` masked) of one CLI call."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
+        code = cli.main(list(argv))
     return code, re.sub(r'"timing_ms":\d+', '"timing_ms":0', out.getvalue())
 
 

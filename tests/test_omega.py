@@ -66,6 +66,21 @@ class TestBullets:
                         assert not MCNUGGET.contains(v - x - g)
 
 
+    @pytest.mark.parametrize("oracle, x", [
+        (oracle, x) for oracle in (bullets_brute_force, bullets_via_apery)
+        for x in (10**9, 2**63 - 8)] + [(bullets_brute_force, 10**5)])
+    def test_huge_target_refused_before_allocating(self, oracle, x):
+        # the grid runs past 2**21 rows: at 10**9 in its first stage, at
+        # 10**5 in its second, and at 2**63 - 8 its budget is past int64
+        tracemalloc.start()
+        try:
+            with pytest.raises(Int64Overflow):
+                oracle(MCNUGGET, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 class TestDynamicBullets:
     def test_window_entry_for_60(self):
         # bullet values of 60 are 60 (lengths up to 10) and 72 (the 9-only bullet)
