@@ -70,24 +70,22 @@ def _final(scan):
     return deque(scan, maxlen=1)[0][1]
 
 
-def _extend(preds):
+def _extend(preds, units):
     # preds[i] is (Z(m - ni), starts); starts[i] counts the rows whose first
     # nonzero index is below i.  Rows run in ascending first-nonzero index, so
     # the a that vanish below index i are the suffix from starts[i], and part i
-    # is that suffix plus e_i.  An empty union means m is not in S.
+    # is that suffix plus e_i = units[i].  An empty union means m is not in S.
     offsets = [0]
     for i, entry in enumerate(preds):
         offsets.append(offsets[-1] + (0 if entry is None else len(entry[0]) - entry[1][i]))
     if not offsets[-1]:
         return None
-    # column order: adding e_i touches one contiguous column of part i
-    Z = np.empty((offsets[-1], len(preds)), next(e for e in preds if e is not None)[0].dtype,
-                 order="F")
+    # column order: each column of a part is one contiguous run
+    Z = np.empty((offsets[-1], len(preds)), units.dtype, order="F")
     for i, entry in enumerate(preds):
         lo, hi = offsets[i], offsets[i + 1]
         if lo < hi:
-            Z[lo:hi] = entry[0][entry[1][i]:]
-            Z[lo:hi, i] += 1
+            np.add(entry[0][entry[1][i]:], units[i], out=Z[lo:hi])
     Z.setflags(write=False)
     return Z, offsets
 
@@ -111,13 +109,14 @@ def factorizations_up_to(monoid: NumericalMonoid, n):
     dtype = np.int16 if t < 2**15 - 1 else np.int32 if t < 2**31 - 1 else np.int64
     zero = np.zeros((1, monoid.k), dtype=dtype)
     zero.setflags(write=False)
+    units = np.eye(monoid.k, dtype=dtype)
     nk, slots = monoid.generators[-1], _slots(monoid.generators, n)
     # a slot not yet written holds None, the entry of a gap
     window = [None] * nk
     window[0] = (zero, [0] * monoid.k)
     yield 0, zero
     for m in range(1, n + 1):
-        entry = window[m % nk] = _extend([window[i] for i in slots[m % nk]])
+        entry = window[m % nk] = _extend([window[i] for i in slots[m % nk]], units)
         if entry is not None:
             yield m, entry[0]
 

@@ -31,7 +31,7 @@ Three independent routes to the same numbers live here:
   * ``bullets_via_apery`` builds bul(x) from restricted factorization
     sets: a vector supported on a generator subset A is a bullet exactly
     when it factors y + x for some y in the intersection of the Apery
-    sets of A.
+    sets of A.  The intersections are built once per monoid, for every x.
 
 For n above the threshold N0 = ceil((F(S) + n2) * n1 / (n2 - n1)) the
 omega function is quasilinear: omega(n) = n / n1 + a(n mod n1) with
@@ -49,6 +49,7 @@ bound of a scan to it, so no sweep runs without end.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import deque
@@ -381,24 +382,22 @@ def bullets_via_apery(monoid: NumericalMonoid, x):
     x = require_i64(x, "target")
     if monoid.contains(-x):
         return _zero_bullet(monoid)
-    gens = monoid.generators
-    k = len(gens)
-    apery = {g: set(monoid.apery_set(g).elements) for g in gens}
     result = set()
-    for bits in range(1, 1 << k):
-        subset = tuple(gens[i] for i in range(k) if bits >> i & 1)
-        common = apery[subset[0]]
-        for g in subset[1:]:
-            common = common & apery[g]
-        if not common:
-            continue
-        d = math.gcd(*subset)
-        for y in common:
-            t = y + x
-            if t < 0 or t % d:
-                continue
-            result |= brute_force_factorizations(monoid, t, support=subset)
+    for subset, d, common in _apery_intersections(monoid):
+        for t in [y + x for y in common]:
+            if t >= 0 and t % d == 0:
+                result |= brute_force_factorizations(monoid, t, support=subset)
     return result
+
+
+@lru_cache(maxsize=1)
+def _apery_intersections(monoid):
+    """(A, gcd(A), sorted common Apery elements of A) for each generator subset A that has some."""
+    apery = {g: set(monoid.apery_set(g).elements) for g in monoid.generators}
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(monoid.generators, size) for size in range(1, monoid.k + 1))
+    commons = ((A, set.intersection(*map(apery.get, A))) for A in subsets)
+    return tuple((A, math.gcd(*A), tuple(sorted(common))) for A, common in commons if common)
 
 
 @dataclass(frozen=True)

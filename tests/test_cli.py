@@ -181,6 +181,13 @@ class TestOptions:
     def test_plotdata_n_is_not_a_horizon(self, capsys):
         assert run(capsys, "plotdata", "delta", "--gens", "6,9,20", "--n", "100")[:2] == (1, "")
 
+    def test_an_option_not_taken_is_reported_with_the_command_usage(self, capsys):
+        code, out, err = run(capsys, "omega", "--gens", "6,9,20", "--n", "5", "--horizon", "9")
+        assert (code, out) == (1, "")
+        usage, *_, message = err.splitlines()
+        assert usage.startswith("usage: numfac omega ") and "--n N" in usage
+        assert message == "numfac omega: error: unrecognized arguments: --horizon 9"
+
 
 class TestElementQueries:
     def test_far_delta_answers_from_the_certificate(self, capsys):
@@ -304,6 +311,16 @@ class TestRenderer:
         columns = np.array(rows, dtype=np.int64).reshape(-1, 3).T
         expected = "".join("[" + sep.join(map(str, row)) + "]\n" for row in rows)
         assert cli._rows(columns, "[", sep, "]\n") == expected
+
+    # one and two 4-digit groups, with each group boundary and both signs
+    @given(st.lists(st.tuples(st.integers(-10**9, 10**9), st.integers(0, 10**4)), max_size=40))
+    @example([(s * v, min(v, 10**4)) for v in (0, 9999, 10000, 99999999, 100000000)
+              for s in (1, -1)])
+    @settings(max_examples=60, deadline=None)
+    def test_small_and_group_boundary_rows_match_str(self, rows):
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+        expected = "".join(",".join(map(str, row)) + "\n" for row in rows)
+        assert cli._rows(columns, "", ",", "\n") == expected
 
     @given(st.lists(st.tuples(int64s, st.booleans()), min_size=1, max_size=40))
     def test_fields_a_row_does_not_carry_are_left_out(self, rows):

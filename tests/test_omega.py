@@ -81,6 +81,19 @@ class TestBullets:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_apery_oracle_answers_each_monoid_asked_in_turn(self):
+        # the Apery intersections are memoized per monoid: one kept for the
+        # wrong monoid would give wrong bullets on the next one
+        monoids = [NumericalMonoid(g) for g in
+                   ((6, 9, 20), (10, 17, 19, 25, 31), (2, 3), (7, 15, 17, 18, 20))]
+        targets = [(S, x) for S in monoids
+                   for x in range(-S.frobenius - 2, S.frobenius + S.generators[-1] + 3)]
+        first = [bullets_via_apery(S, x) for S, x in targets]
+        assert first == [bullets_brute_force(S, x) for S, x in targets]
+        omega_module._apery_intersections.cache_clear()
+        assert [bullets_via_apery(S, x) for S, x in targets[::-1]] == first[::-1]
+
+
 class TestDynamicBullets:
     def test_window_entry_for_60(self):
         # bullet values of 60 are 60 (lengths up to 10) and 72 (the 9-only bullet)
