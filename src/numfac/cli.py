@@ -79,6 +79,7 @@ def _ints(text):
     return [int(p) for p in text.split(",") if p.strip()]
 
 
+@functools.cache  # built once: main looks up each command's run in COMMANDS at call time
 def _build_parser():
     parser = _Parser(prog="numfac", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"numfac {__version__}")
@@ -183,20 +184,23 @@ def _text(rows, fields):
 
     A field is an int array with one number per row, a str, or a pair
     (str, shown) whose bool array marks the rows that carry the str.
-    Each field is a block of uint8 columns, one row per line, and a mask
-    keeps the bytes in use, so no Python object is made per row.
+    Each field is written once into one (width, rows) uint8 block and a
+    mask of the bytes in use, so no Python object is made per row.
     """
-    chars, keep = [], []
+    pieces = []
     for field in fields:
         if isinstance(field, np.ndarray):
-            c, k = _digits(field)
+            pieces.append([a.T for a in _digits(field)])
         else:
             text, shown = field if isinstance(field, tuple) else (field, True)
-            c = np.broadcast_to(np.frombuffer(text.encode(), np.uint8), (rows, len(text)))
-            k = np.broadcast_to(np.reshape(shown, (-1, 1)), c.shape)
-        chars.append(c.T)  # narrow blocks stack faster column by column
-        keep.append(k.T)
-    return np.vstack(chars).T[np.vstack(keep).T].tobytes().decode()
+            pieces.append((np.frombuffer(text.encode(), np.uint8)[:, None], shown))
+    width = sum(len(c) for c, _ in pieces)
+    chars, keep = np.empty((width, rows), np.uint8), np.empty((width, rows), bool)
+    at = 0
+    for c, k in pieces:
+        chars[at:at + len(c)], keep[at:at + len(c)] = c, k
+        at += len(c)
+    return chars.T[keep.T].tobytes().decode()
 
 
 @functools.cache  # on first use: commands that render no int column never build them

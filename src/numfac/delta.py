@@ -68,9 +68,9 @@ window, top window, lo - a q, hi - b q), q = m // p, of each m in
 m >= M - p has the key of its slot m mod p, so L(m), its largest length
 hi and Delta(m) are read off that key with no scan to m.  So
 ``length_set``, ``max_length`` and the per-element Delta of the CLI scan
-only to M, and ``delta_periodicity``, which measures where the eventual
-periodic behavior actually begins, scans to min(M, horizon) and reads
-the rest of its horizon from the slots.
+only to M.  ``delta_periodicity``, which measures where the eventual
+periodic behavior actually begins, reads Delta(m) off the slots from M
+to min(M + p, horizon), past which no window sees a new residue mod p.
 
 Delta(m) is read straight off the length mask of m (bit l set iff l is
 a factorization length).  ``pending`` holds the set bits whose next set
@@ -412,22 +412,10 @@ def delta_set(monoid: NumericalMonoid, bound_override=None):
     return tuple(sorted(gaps))
 
 
-def _divisors(n):
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def delta_periodicity(monoid: NumericalMonoid, horizon):
     """Detect the eventual period of Delta(m) and the last dissonant element.
 
-    Reads Delta(m) for m in (0, horizon], picks the smallest divisor p of
+    Reads Delta(m) for m in (0, top], picks the smallest divisor p of
     lcm(n1, nk) for which Delta(m) = Delta(m + p) holds throughout the
     final lcm-wide window, then scans backwards for the largest element
     where the relation fails.  A monoid element m with m + p outside the
@@ -435,11 +423,11 @@ def delta_periodicity(monoid: NumericalMonoid, horizon):
     nothing.
 
     Delta(m) is read off the length masks up to the certificate of the
-    module docstring and, once it fires at M, off its slots: then only
-    Delta(m) for m < M is kept, since from M on every m is in S and
-    Delta(m) is that of its slot m mod lcm.  For the same reason, when the
-    final window lies at or past M, the relation holds on every m >= M,
-    so the backward scan starts below M.
+    module docstring and, once it fires at M, off its slots up to
+    top = min(horizon, M + lcm); with no certificate top is the horizon.
+    From M - lcm on, every m is in S with the Delta of its slot m mod
+    lcm, so the relation there depends on m mod lcm alone: the final
+    window ending at M + lcm gives the same answer as any later one.
     """
     horizon = _checked_target(horizon)
     lcm = monoid.period_hint
@@ -452,34 +440,27 @@ def delta_periodicity(monoid: NumericalMonoid, horizon):
 
     step = _d_min(monoid.generators)
     scan = _Scan(monoid, horizon)
-    deltas = []  # Delta(m) at index m < M, None for the gaps of the monoid
+    deltas = []  # Delta(m) at index m, None for the gaps of the monoid
     for m, mask in scan:
         if m > len(deltas):
             deltas += [None] * (m - len(deltas))
         deltas.append(_mask_gaps(mask, step))
-    M = len(deltas)
-    if scan.slots is None:  # no certificate: every m up to the horizon is kept
-        M = horizon + 1
-        deltas += [None] * (M - len(deltas))
+    top = horizon
+    if scan.slots is not None:  # it fired at M = len(deltas)
+        top = min(horizon, len(deltas) + lcm)
+        deltas += [scan.slots.delta(m) for m in range(len(deltas), top + 1)]
+    deltas += [None] * (top + 1 - len(deltas))  # no certificate: the gaps up to the horizon
 
     def agrees(m, p):
-        here = deltas[m] if m < M else scan.slots.deltas[m % lcm]
-        if here is None:
-            return True
-        m += p
-        return here == (deltas[m] if m < M else scan.slots.deltas[m % lcm])
+        return deltas[m] is None or deltas[m] == deltas[m + p]
 
-    period, first = lcm, horizon - lcm
-    for p in _divisors(lcm):
-        lo = max(1, horizon - lcm - p + 1)
-        if all(agrees(m, p) for m in range(lo, horizon - p + 1)):
-            # agrees(m, p) is lcm-periodic from M on, so a window at or past M
-            # covers every m >= M
-            period, first = p, horizon - p if lo < M else M - 1
+    for period in range(1, lcm + 1):  # the last, lcm, stands when no divisor passes
+        lo = max(1, top - lcm - period + 1)
+        if lcm % period == 0 and all(agrees(m, period) for m in range(lo, top - period + 1)):
             break
 
     last_fail = 0
-    for m in range(first, 0, -1):
+    for m in range(top - period, 0, -1):
         if not agrees(m, period):
             last_fail = m
             break

@@ -393,11 +393,10 @@ def bullets_via_apery(monoid: NumericalMonoid, x):
 @lru_cache(maxsize=1)
 def _apery_intersections(monoid):
     """(A, gcd(A), sorted common Apery elements of A) for each generator subset A that has some."""
-    apery = {g: set(monoid.apery_set(g).elements) for g in monoid.generators}
     subsets = itertools.chain.from_iterable(
         itertools.combinations(monoid.generators, size) for size in range(1, monoid.k + 1))
-    commons = ((A, set.intersection(*map(apery.get, A))) for A in subsets)
-    return tuple((A, math.gcd(*A), tuple(sorted(common))) for A, common in commons if common)
+    commons = ((A, monoid.apery_intersection(A)) for A in subsets)
+    return tuple((A, math.gcd(*A), common) for A, common in commons if common)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from numfac.delta import (
     _d_min,
     _delta_at,
     _deltas_up_to,
-    _divisors,
     _mask_gaps,
     _Scan,
 )
@@ -216,7 +215,7 @@ def _plain_periodicity(monoid, horizon):
         return deltas[m] == deltas[m + p]
 
     period = lcm
-    for p in _divisors(lcm):
+    for p in [p for p in range(1, lcm + 1) if lcm % p == 0]:
         lo = max(1, horizon - lcm - p + 1)
         if all(agrees(m, p) for m in range(lo, horizon - p + 1)):
             period = p
@@ -248,7 +247,8 @@ class TestPastTheCertificate:
         S = NumericalMonoid(gens)
         M, _ = _stop(S)
         lcm, nk = S.period_hint, S.generators[-1]
-        for horizon in [lcm + nk, S.frobenius, M - 1, M, M + 1, M + lcm, 5 * M]:
+        for horizon in [lcm + nk, S.frobenius, M - 1, M, M + 1, M + lcm - 1, M + lcm, M + lcm + 1,
+                        5 * M]:
             if horizon >= lcm + nk:
                 assert delta_periodicity(S, horizon) == _plain_periodicity(S, horizon), horizon
 
@@ -260,7 +260,7 @@ class TestPastTheCertificate:
         last, slots = _scanned(S, min(delta_scan_bound(S), 20_000))
         assume(slots is not None)
         M, lcm = last + 1, S.period_hint
-        for horizon in {M - 1, M, M + lcm, 2 * M + lcm + 1}:
+        for horizon in {M - 1, M, M + lcm - 1, M + lcm, M + lcm + 1, 2 * M + lcm + 1}:
             if horizon >= lcm + S.generators[-1]:
                 assert delta_periodicity(S, horizon) == _plain_periodicity(S, horizon), horizon
 
@@ -287,7 +287,7 @@ class TestPastTheCertificate:
                 [length_set(S, n) for n in targets],
                 [max_length(S, n) for n in targets],
                 [_delta_at(S, n) for n in targets],
-                [delta_periodicity(S, h) for h in (M, M + p, 3 * M)],
+                [delta_periodicity(S, h) for h in (M, M + p - 1, M + p, M + p + 1, 3 * M)],
                 list(_deltas_up_to(S, 2 * M)),
             )
 
