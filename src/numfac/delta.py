@@ -91,7 +91,6 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -169,8 +168,8 @@ def _d_min(gens):
 # many bits it is skipped and the scan runs to its limit
 _CERTIFICATE_BITS = 1 << 24
 
-# bit operations a scan may spend on one element query: reaching n costs
-# about n^2 / (2 n1) of them, since the mask of m holds about m / n1 bits.
+# bit operations a scan may spend on one scan: reaching n costs about
+# n^2 / (2 n1) of them, since the mask of m holds about m / n1 bits.
 # A plain mask scan of <6,9,20> to n = 3e5 does 7.5e9 of them in 0.51-1.0 s
 # on a shared 2-core Xeon, so this budget is about 7 to 13 s of scanning
 _SCAN_BIT_BUDGET = 10**11
@@ -181,99 +180,58 @@ _SCAN_BIT_BUDGET = 10**11
 _LENGTHS_LIMIT = 10_000_000
 
 
-class _Certificate(NamedTuple):
-    """The constants of the module docstring's certificate for one monoid."""
-
-    p: int
-    d: int
-    H: int
-    a: int
-    b: int
-    start: int  # no element up to start is wide; every later one has its predecessors in S
-    floor: int  # the least scan limit at which the certificate can fire
-
-
-def _certificate(monoid):
-    """The certificate's constants, or None when it is skipped (<1>, or windows over the cap)."""
-    gens = monoid.generators
-    if len(gens) < 2:
-        return None
-    n1, nk, d, p = gens[0], gens[-1], _d_min(gens), monoid.period_hint
-    H = -(-nk // d) * d
-    if 2 * p * H > _CERTIFICATE_BITS:
-        return None
-    # the lengths of m lie in [m / nk, m / n1], so no m up to the second
-    # term is wide; past the first, every predecessor is in S
-    start = max(monoid.frobenius + nk, ((2 * H + d) * n1 * nk - 1) // (nk - n1))
-    return _Certificate(p, d, H, p // nk, p // n1, start, start + p + nk)
-
-
-class _Slots:
-    """L(m) for every m >= M - p, read off the p keys a fired certificate keeps.
-
-    keys[m % p] is (bot, top, lo - a * q, hi - b * q), q = m // p, of the
-    element m of [M - p, M): its two windows and the ends of L(m).  By
-    (W) and (E), carried to every later element by the induction of the
-    module docstring, each m >= M - p has the key of its slot, so L(m)
-    is lo + the bottom window, then lo + H, lo + H + d, ..., hi - H, then
-    hi - H + 1 + the top window.
-    """
-
-    def __init__(self, cert, keys):
-        self.cert, self.keys = cert, keys
-
-    def ends(self, m):
-        """(bot, top, lo, hi) of L(m)."""
-        c = self.cert
-        bot, top, lo, hi = self.keys[m % c.p]
-        q = m // c.p
-        return bot, top, lo + c.a * q, hi + c.b * q
-
-    def count(self, m):
-        bot, top, lo, hi = self.ends(m)
-        return bot.bit_count() + (hi - lo - 2 * self.cert.H) // self.cert.d + 1 + top.bit_count()
-
-    def lengths(self, m):
-        """L(m) as a sorted numpy int array."""
-        H, d = self.cert.H, self.cert.d
-        bot, top, lo, hi = self.ends(m)
-        return np.concatenate((lo + _mask_to_lengths(bot), np.arange(lo + H, hi - H + 1, d),
-                               hi - H + 1 + _mask_to_lengths(top)))
-
-    @functools.cached_property
-    def deltas(self):
-        """Delta(m) of each slot: the gaps of its windows around a middle cut to two lengths."""
-        H, d = self.cert.H, self.cert.d
-        return [_mask_gaps(bot | 1 << H | 1 << (H + d) | top << (H + d + 1), d)
-                for bot, top, _, _ in self.keys]
-
-    def delta(self, m):
-        return self.deltas[m % self.cert.p]
-
-
 class _Scan:
     """The length masks of the monoid elements up to ``limit``, up to the certificate.
 
     Iterating yields (m, mask of L(m)) in ascending m.  If the
     certificate fires at some M <= limit, the last element yielded is
-    M - 1 and ``slots`` then holds its `_Slots`; otherwise ``slots``
-    stays None.  A limit below the certificate's floor gets the plain
-    mask scan, with no bookkeeping.
+    M - 1, and ``keys`` then holds its p keys: keys[m % p] is (bot, top,
+    lo - a * q, hi - b * q), q = m // p, of the element m of [M - p, M),
+    its two windows and the ends of L(m).  By (W) and (E), carried to
+    every later element by the induction of the module docstring, each
+    m >= M - p has the key of its slot, so ``ends``, ``count``,
+    ``lengths`` and ``delta`` answer it: L(m) is lo + the bottom window,
+    then lo + H, lo + H + d, ..., hi - H, then hi - H + 1 + the top
+    window.  Otherwise ``keys`` stays None.  A limit below the
+    certificate's floor, the least limit at which it can fire, gets the
+    plain mask scan, with no bookkeeping.
+
+    A limit past the reach of ``_SCAN_BIT_BUDGET`` is answered only by
+    a certificate that fires within that reach: when the certificate is
+    skipped (<1>, or windows over the cap), or cannot fire by then, the
+    scan is refused with Int64Overflow before it starts, and when it has
+    not fired by then, at the reach.
     """
 
     def __init__(self, monoid, limit):
-        self.monoid, self.limit, self.slots = monoid, limit, None
+        gens = monoid.generators
+        n1, nk, p, d = gens[0], gens[-1], monoid.period_hint, _d_min(gens)
+        self.monoid, self.limit, self.keys, self.p, self.d = monoid, _checked_target(limit), None, p, d
+        floor = math.inf
+        if len(gens) > 1:
+            self.H = H = -(-nk // d) * d
+            self.a, self.b = p // nk, p // n1
+            # the lengths of m lie in [m / nk, m / n1], so no m up to the second
+            # term is wide; past the first, every predecessor is in S
+            self.start = max(monoid.frobenius + nk, ((2 * H + d) * n1 * nk - 1) // (nk - n1))
+            if 2 * p * H <= _CERTIFICATE_BITS:
+                floor = self.start + p + nk
+        reach = math.isqrt(2 * n1 * _SCAN_BIT_BUDGET)
+        if self.limit > reach and floor > reach:
+            raise Int64Overflow(
+                f"a scan to {self.limit} exceeds the scan budget and no certificate can answer it")
+        self.stop = min(self.limit, reach)
+        self.plain = floor > self.stop
 
     def __iter__(self):
-        cert = _certificate(self.monoid)
-        if cert is None or cert.floor > self.limit:
-            return _length_masks_up_to(self.monoid, self.limit)
-        return self._certified(cert)
+        if self.plain:
+            return _length_masks_up_to(self.monoid, self.stop)
+        return self._certified()
 
-    def _certified(self, cert):
-        monoid, gens = self.monoid, self.monoid.generators
+    def _certified(self):
+        gens = self.monoid.generators
         nk = gens[-1]
-        p, d, H, a, b, start, _ = cert
+        p, d, H, a, b, start = self.p, self.d, self.H, self.a, self.b, self.start
         wide, low = 2 * H + d, (1 << H) - 1
         # slot m % p: lo and hi of every element, windows of the well formed.
         # (W) needs no counter of its own: overlap counts well-formed
@@ -282,7 +240,7 @@ class _Scan:
         # which is set only when m - p is well formed
         los, his, keys = [0] * p, [0] * p, [None] * p
         same = overlap = 0
-        for item in _length_masks_up_to(monoid, self.limit):
+        for item in _length_masks_up_to(self.monoid, self.stop):
             yield item
             m, mask = item
             if m <= start - nk:
@@ -313,63 +271,76 @@ class _Scan:
             else:
                 overlap = 0
             if same >= nk and overlap >= p:
-                self.slots = _Slots(cert, keys)
+                self.keys = keys
                 return
+        if self.stop < self.limit:
+            raise Int64Overflow(f"the certificate did not fire within the scan budget for {self.limit}")
+
+    def ends(self, m):
+        """(bot, top, lo, hi) of L(m)."""
+        bot, top, lo, hi = self.keys[m % self.p]
+        q = m // self.p
+        return bot, top, lo + self.a * q, hi + self.b * q
+
+    def count(self, m):
+        bot, top, lo, hi = self.ends(m)
+        return bot.bit_count() + (hi - lo - 2 * self.H) // self.d + 1 + top.bit_count()
+
+    def lengths(self, m):
+        """L(m) as a sorted numpy int array."""
+        H, d = self.H, self.d
+        bot, top, lo, hi = self.ends(m)
+        return np.concatenate((lo + _mask_to_lengths(bot), np.arange(lo + H, hi - H + 1, d),
+                               hi - H + 1 + _mask_to_lengths(top)))
+
+    @functools.cached_property
+    def deltas(self):
+        """Delta(m) of each slot: the gaps of its windows around a middle cut to two lengths."""
+        H, d = self.H, self.d
+        return [_mask_gaps(bot | 1 << H | 1 << (H + d) | top << (H + d + 1), d)
+                for bot, top, _, _ in self.keys]
+
+    def delta(self, m):
+        return self.deltas[m % self.p]
 
 
 def _deltas_up_to(monoid, n):
     """Yield (m, Delta(m)) for monoid elements m in [0, n], Delta(m) a sorted tuple.
 
     Each Delta(m) is read off the length mask of m up to the
-    certificate and, once it fires at M, off its slots from M on.
+    certificate and, once it fires at M, off its keys from M on.
     """
-    step = _d_min(monoid.generators)
     scan = _Scan(monoid, n)
     m = -1
     for m, mask in scan:
-        yield m, _mask_gaps(mask, step)
-    if scan.slots is not None:
-        for m in range(m + 1, n + 1):
-            yield m, scan.slots.delta(m)
+        yield m, _mask_gaps(mask, scan.d)
+    if scan.keys is not None:
+        for m in range(m + 1, scan.limit + 1):
+            yield m, scan.delta(m)
 
 
 def _element(monoid, n):
-    """(mask, slots) for an element n of S: the length mask of L(n), or else the `_Slots` holding it.
-
-    A target past the reach of ``_SCAN_BIT_BUDGET`` is answered only by
-    a certificate that fires within that reach: when the certificate is
-    skipped, or cannot fire by then, the target is refused with
-    Int64Overflow before the scan, and when it has not fired by then,
-    after it.
-    """
-    cert = _certificate(monoid)
-    reach = math.isqrt(2 * monoid.generators[0] * _SCAN_BIT_BUDGET)
-    if n > reach and (cert is None or cert.floor > reach):
-        raise Int64Overflow(f"a scan to {n} exceeds the scan budget and no certificate can answer it")
-    scan = _Scan(monoid, min(n, reach))
-    m, mask = deque(scan, maxlen=1)[0]
-    if scan.slots is not None:
-        return None, scan.slots
-    if m < n:
-        raise Int64Overflow(f"the certificate did not fire within the scan budget for {n}")
-    return mask, None
+    """(mask of L(n), None) for an element n of S, or (None, the fired `_Scan` that answers n)."""
+    scan = _Scan(monoid, n)
+    mask = deque(scan, maxlen=1)[0][1]
+    return (mask, None) if scan.keys is None else (None, scan)
 
 
 def length_set(monoid: NumericalMonoid, n):
     """L(n) as a tuple of increasing lengths; empty iff n not in the monoid.
 
-    Past the certificate L(n) is read off its slots, with no scan to n.
+    Past the certificate L(n) is read off its keys, with no scan to n.
     Int64Overflow refuses a scan past ``_SCAN_BIT_BUDGET``, and an L(n)
     of over ``_LENGTHS_LIMIT`` lengths before they are built.
     """
     n = _checked_target(n)
     if not monoid.contains(n):
         return ()
-    mask, slots = _element(monoid, n)
-    count = mask.bit_count() if slots is None else slots.count(n)
+    mask, scan = _element(monoid, n)
+    count = mask.bit_count() if scan is None else scan.count(n)
     if count > _LENGTHS_LIMIT:
         raise Int64Overflow(f"L({n}) holds {count} lengths, over the cap of {_LENGTHS_LIMIT}")
-    return tuple((_mask_to_lengths(mask) if slots is None else slots.lengths(n)).tolist())
+    return tuple((_mask_to_lengths(mask) if scan is None else scan.lengths(n)).tolist())
 
 
 def max_length(monoid: NumericalMonoid, n):
@@ -377,8 +348,8 @@ def max_length(monoid: NumericalMonoid, n):
     n = _checked_target(n)
     if not monoid.contains(n):
         raise NotInMonoid(f"{n} is not an element of {monoid!r}")
-    mask, slots = _element(monoid, n)
-    return mask.bit_length() - 1 if slots is None else slots.ends(n)[3]
+    mask, scan = _element(monoid, n)
+    return mask.bit_length() - 1 if scan is None else scan.ends(n)[3]
 
 
 def _delta_at(monoid, n):
@@ -386,8 +357,8 @@ def _delta_at(monoid, n):
     n = _checked_target(n)
     if not monoid.contains(n):
         return ()
-    mask, slots = _element(monoid, n)
-    return _mask_gaps(mask, _d_min(monoid.generators)) if slots is None else slots.delta(n)
+    mask, scan = _element(monoid, n)
+    return _mask_gaps(mask, _d_min(monoid.generators)) if scan is None else scan.delta(n)
 
 
 def delta_set(monoid: NumericalMonoid, bound_override=None):
@@ -397,7 +368,9 @@ def delta_set(monoid: NumericalMonoid, bound_override=None):
     the certificate is the repeat of the length-set state described in
     the module docstring.  Without an override the limit is the proven
     bound from :func:`delta_scan_bound`; with ``bound_override=N`` (a
-    known periodicity-start bound) it is N + lcm(n1, nk).
+    known periodicity-start bound) it is N + lcm(n1, nk).  A limit past
+    the reach of ``_SCAN_BIT_BUDGET`` is refused with Int64Overflow unless
+    the certificate fires within that reach (see `_Scan`).
     """
     if bound_override is None:
         limit = delta_scan_bound(monoid)
@@ -405,10 +378,9 @@ def delta_set(monoid: NumericalMonoid, bound_override=None):
         limit = require_i64(
             _checked_target(bound_override) + monoid.period_hint, "scan limit"
         )
-    step = _d_min(monoid.generators)
-    gaps = set()
-    for _, mask in _Scan(monoid, limit):
-        gaps.update(_mask_gaps(mask, step))
+    scan, gaps = _Scan(monoid, limit), set()
+    for _, mask in scan:
+        gaps.update(_mask_gaps(mask, scan.d))
     return tuple(sorted(gaps))
 
 
@@ -423,11 +395,13 @@ def delta_periodicity(monoid: NumericalMonoid, horizon):
     nothing.
 
     Delta(m) is read off the length masks up to the certificate of the
-    module docstring and, once it fires at M, off its slots up to
+    module docstring and, once it fires at M, off its keys up to
     top = min(horizon, M + lcm); with no certificate top is the horizon.
     From M - lcm on, every m is in S with the Delta of its slot m mod
     lcm, so the relation there depends on m mod lcm alone: the final
     window ending at M + lcm gives the same answer as any later one.
+    Int64Overflow refuses a horizon past the per-element table cap, and,
+    as in ``delta_set``, one past the reach of the scan budget.
     """
     horizon = _checked_target(horizon)
     lcm = monoid.period_hint
@@ -438,17 +412,16 @@ def delta_periodicity(monoid: NumericalMonoid, horizon):
     if horizon + 1 > _MEMBER_TABLE_LIMIT:
         raise Int64Overflow(f"horizon {horizon} exceeds the per-element table cap")
 
-    step = _d_min(monoid.generators)
     scan = _Scan(monoid, horizon)
     deltas = []  # Delta(m) at index m, None for the gaps of the monoid
     for m, mask in scan:
         if m > len(deltas):
             deltas += [None] * (m - len(deltas))
-        deltas.append(_mask_gaps(mask, step))
+        deltas.append(_mask_gaps(mask, scan.d))
     top = horizon
-    if scan.slots is not None:  # it fired at M = len(deltas)
+    if scan.keys is not None:  # it fired at M = len(deltas)
         top = min(horizon, len(deltas) + lcm)
-        deltas += [scan.slots.delta(m) for m in range(len(deltas), top + 1)]
+        deltas += [scan.delta(m) for m in range(len(deltas), top + 1)]
     deltas += [None] * (top + 1 - len(deltas))  # no certificate: the gaps up to the horizon
 
     def agrees(m, p):

@@ -125,6 +125,18 @@ class TestExitCodes:
         assert err.startswith("numfac: overflow:") and len(err.splitlines()) == 1
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("argv", [
+        ["delta-set", *form] for form in ([], ["--format", "csv"], ["--format", "json"])] + [
+        ["plotdata", "delta", "--horizon", "10000000000", *form]
+        for form in ([], ["--format", "csv"], ["--format", "json"], ["--stream"])])
+    def test_delta_scans_past_the_budget_are_3_at_once(self, capsys, argv):
+        # <1000,2001> skips the certificate (2 p H is about 1.2e10 bits), so
+        # no Delta scan may pass the budget's reach of about 1.4e7 elements
+        code, out, err = run(capsys, *argv, "--gens", "1000,2001")
+        assert (code, out) == (3, "")
+        assert err.startswith("numfac: overflow:") and "scan budget" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_not_in_monoid_is_4(self, capsys):
         assert run(capsys, "apery", "--gens", "6,9,20", "--n", "7")[0] == 4
 

@@ -31,9 +31,9 @@ MCNUGGET = NumericalMonoid([6, 9, 20])
 
 
 def _scanned(S, limit):
-    """(last element scanned, slots) of a `_Scan` of S to limit; slots is None unless it certified."""
+    """(last element scanned, keys) of a `_Scan` of S to limit; keys is None unless it certified."""
     scan = _Scan(S, limit)
-    return deque(scan, maxlen=1)[0][0], scan.slots
+    return deque(scan, maxlen=1)[0][0], scan.keys
 
 
 class TestDeltaOfLengths:
@@ -296,6 +296,12 @@ class TestPastTheCertificate:
         assert answers() == certified
 
 
+# every Delta entry point, as query(S, n) for a scan of S to n
+BUDGETED = (length_set, max_length, _delta_at,
+            lambda S, n: delta_set(S, bound_override=n - S.period_hint),
+            delta_periodicity, lambda S, n: list(_deltas_up_to(S, n)))
+
+
 class TestElementRefusals:
     def _traced(self, call):
         tracemalloc.start()
@@ -329,7 +335,8 @@ class TestElementRefusals:
         # the budget reaches n = isqrt(2 * 6 * 10**6) = 3464 on <6,9,20>
         monkeypatch.setattr("numfac.delta._SCAN_BIT_BUDGET", 10**6)
         assert max_length(MCNUGGET, 3464) == (3464 - 20) // 6 + 1
-        for query in (length_set, max_length, _delta_at):
+        assert delta_set(MCNUGGET, bound_override=3464 - 60) == (1, 2, 3, 4)
+        for query in BUDGETED:
             assert self._traced(lambda: query(MCNUGGET, 3466)) < 100_000
 
     def test_unfired_certificate_refused_at_the_budget(self, monkeypatch):
@@ -337,8 +344,11 @@ class TestElementRefusals:
         monkeypatch.setattr("numfac.delta._SCAN_BIT_BUDGET", 450**2 // 12)
         assert length_set(MCNUGGET, 450) == tuple(_mask_to_lengths(
             deque(_length_masks_up_to(MCNUGGET, 450), maxlen=1)[0][1]).tolist())
-        for query in (length_set, max_length, _delta_at):
+        for query in BUDGETED:
             assert self._traced(lambda: query(MCNUGGET, 10**6)) < 1_000_000
-        # with a reach past 493 the slots answer any target
+        # with a reach past 493 the keys answer any target
         monkeypatch.setattr("numfac.delta._SCAN_BIT_BUDGET", 500**2 // 12)
         assert _delta_at(MCNUGGET, 10**12) == (1, 4)
+        assert delta_set(MCNUGGET) == (1, 2, 3, 4)
+        assert delta_periodicity(MCNUGGET, 10**6) == DeltaPeriodicityReport(91, 20, 10**6)
+        assert deque(_deltas_up_to(MCNUGGET, 10**5), maxlen=1)[0] == (10**5, (1, 4))

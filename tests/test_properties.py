@@ -329,16 +329,16 @@ def test_slot_answers_match_the_mask_scan(gens):
     limit = min(delta_scan_bound(S), 20_000)
     scan = _Scan(S, limit)
     last = deque(scan, maxlen=1)[0][0]
-    assume(scan.slots is not None)
+    assume(scan.keys is not None)
     M, p, step = last + 1, S.period_hint, _d_min(S.generators)
     far = 3 * M + 7 * p + 1
     masks = dict(_length_masks_up_to(S, far))
     for m in [*range(M - p, M + 4 * p + 1), far]:
         mask = masks[m]
-        assert scan.slots.lengths(m).tolist() == _mask_to_lengths(mask).tolist()
-        assert scan.slots.count(m) == mask.bit_count()
-        assert scan.slots.ends(m)[3] == mask.bit_length() - 1
-        assert scan.slots.delta(m) == _mask_gaps(mask, step)
+        assert scan.lengths(m).tolist() == _mask_to_lengths(mask).tolist()
+        assert scan.count(m) == mask.bit_count()
+        assert scan.ends(m)[3] == mask.bit_length() - 1
+        assert scan.delta(m) == _mask_gaps(mask, step)
     # and the library queries, which find the slots themselves
     for m in (M, M + p + 1, far):
         assert length_set(S, m) == tuple(_mask_to_lengths(masks[m]).tolist())
