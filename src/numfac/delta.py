@@ -57,6 +57,14 @@ Each then holds for every m >= M, by induction on m:
   fixed by the two windows.  So Delta(m) = Delta(m - p) for m >= M, and
   Delta(S) is the union of Delta(m) for m < M.
 
+The scan checks (W) and (E) at each element as it is reached, and (O)
+only at an element m where (W) and (E) already hold over their
+windows: one numpy gather over lo and hi of the last p + nk elements
+then checks (O) on the elements of (m - p, m] not checked before.
+A failure of (O) at j rules out every stop up to j + p, so each element
+is checked about once, and the stop M is the first element where (W),
+(E) and (O) all hold.
+
 The certificate keeps the last p windows, so it is skipped (and the
 scan runs to its limit) when they would hold more than
 ``_CERTIFICATE_BITS`` bits.  Either way the answer is the union of
@@ -83,6 +91,11 @@ two factorizations a, b of m satisfy sum (ai - bi) n1 =
 -sum (ai - bi)(ni - n1), and n1 is prime to d_min, so their lengths
 differ by a multiple of d_min and no distance in between can be a gap.
 (d_min is also min Delta(S); Bowles, Chapman, Kaplan and Reiser, 2006.)
+
+Each distinct mask is reduced once.  The masks of a scan repeat: on
+<100,121,142,163,284>, the 38,478 elements up to 41,150 have 629
+distinct masks.  So every scan keeps Delta in a memo keyed by the mask,
+and empties it whenever its masks would pass ``_CERTIFICATE_BITS`` bits.
 """
 
 from __future__ import annotations
@@ -183,7 +196,8 @@ _LENGTHS_LIMIT = 10_000_000
 class _Scan:
     """The length masks of the monoid elements up to ``limit``, up to the certificate.
 
-    Iterating yields (m, mask of L(m)) in ascending m.  If the
+    Iterating yields (m, mask of L(m)) in ascending m, and
+    ``mask_deltas`` yields (m, Delta(m)) off the same masks.  If the
     certificate fires at some M <= limit, the last element yielded is
     M - 1, and ``keys`` then holds its p keys: keys[m % p] is (bot, top,
     lo - a * q, hi - b * q), q = m // p, of the element m of [M - p, M),
@@ -232,49 +246,76 @@ class _Scan:
         gens = self.monoid.generators
         nk = gens[-1]
         p, d, H, a, b, start = self.p, self.d, self.H, self.a, self.b, self.start
-        wide, low = 2 * H + d, (1 << H) - 1
-        # slot m % p: lo and hi of every element, windows of the well formed.
-        # (W) needs no counter of its own: overlap counts well-formed
-        # elements only, so overlap >= p gives (W) on [M - p, M), and
-        # same >= nk compares each m of [M - nk, M) with the key of m - p,
-        # which is set only when m - p is well formed
-        los, his, keys = [0] * p, [0] * p, [None] * p
-        same = overlap = 0
+        wide, low, ring = 2 * H + d, (1 << H) - 1, p + nk
+        # lo and hi of element m at m % ring: the p + nk entries cover the
+        # predecessors of every element of [m - p + 1, m], the window (O) reads
+        los, his = np.zeros(ring, np.int64), np.zeros(ring, np.int64)
+        back = np.array(gens, np.int64)[:, None]
+        # keys[m % p] is the key of a well-formed m.  run counts consecutive
+        # well-formed elements, so run >= p gives (W) on [M - p, M), and same
+        # >= nk compares each m of [M - nk, M) with the key of m - p, which is
+        # set only when m - p is well formed.  (O) has been checked on the
+        # elements up to checked that a stop could need, and failed last at fail
+        keys = [None] * p
+        same = run = checked = fail = 0
         for item in _length_masks_up_to(self.monoid, self.stop):
             yield item
             m, mask = item
             if m <= start - nk:
                 continue
-            slot = m % p
             hi = mask.bit_length() - 1
             lo = (mask & -mask).bit_length() - 1
-            los[slot], his[slot] = lo, hi
+            los[m % ring], his[m % ring] = lo, hi
             if m <= start:
                 continue
             # width first: it costs O(1), and until the width has grown past
             # 2H + d it fails on every element
-            width = hi - lo
+            slot, width = m % p, hi - lo
             if width >= wide:
                 bot, top = (mask >> lo) & low, mask >> (hi - H + 1)
                 middle = mask.bit_count() - bot.bit_count() - top.bit_count()
             if width < wide or middle != (width - 2 * H) // d + 1:
-                same = overlap = 0
+                same = run = 0
                 keys[slot] = None
                 continue
             q = m // p
             key = (bot, top, lo - a * q, hi - b * q)
             same = same + 1 if keys[slot] == key else 0
             keys[slot] = key
-            pred = [(m - g) % p for g in gens]
-            if max(los[i] for i in pred) + 2 * H <= min(his[i] for i in pred):
-                overlap += 1
-            else:
-                overlap = 0
-            if same >= nk and overlap >= p:
-                self.keys = keys
-                return
+            run += 1
+            # a failure at fail rules out every stop up to fail + p
+            if same < nk or run < p or fail > m - p:
+                continue
+            window = np.arange(max(checked, m - p) + 1, m + 1)
+            pred = (window - back) % ring
+            bad = np.flatnonzero(los[pred].max(axis=0) + 2 * H > his[pred].min(axis=0))
+            checked = m
+            if len(bad):
+                fail = int(window[bad[-1]])
+                continue
+            self.keys = keys
+            return
         if self.stop < self.limit:
             raise Int64Overflow(f"the certificate did not fire within the scan budget for {self.limit}")
+
+    def mask_deltas(self):
+        """Yield (m, Delta(m)) for each element the scan yields, read off its length mask.
+
+        Each distinct mask is reduced once: a memo keyed by the mask keeps
+        its Delta, and is emptied whenever its masks would pass
+        ``_CERTIFICATE_BITS`` bits.
+        """
+        memo, bits, d = {}, 0, self.d
+        for m, mask in self:
+            gaps = memo.get(mask)
+            if gaps is None:
+                size = mask.bit_length()
+                if bits + size > _CERTIFICATE_BITS:
+                    memo.clear()
+                    bits = 0
+                gaps = memo[mask] = _mask_gaps(mask, d)
+                bits += size
+            yield m, gaps
 
     def ends(self, m):
         """(bot, top, lo, hi) of L(m)."""
@@ -312,8 +353,8 @@ def _deltas_up_to(monoid, n):
     """
     scan = _Scan(monoid, n)
     m = -1
-    for m, mask in scan:
-        yield m, _mask_gaps(mask, scan.d)
+    for m, gaps in scan.mask_deltas():
+        yield m, gaps
     if scan.keys is not None:
         for m in range(m + 1, scan.limit + 1):
             yield m, scan.delta(m)
@@ -378,9 +419,9 @@ def delta_set(monoid: NumericalMonoid, bound_override=None):
         limit = require_i64(
             _checked_target(bound_override) + monoid.period_hint, "scan limit"
         )
-    scan, gaps = _Scan(monoid, limit), set()
-    for _, mask in scan:
-        gaps.update(_mask_gaps(mask, scan.d))
+    gaps = set()
+    for _, delta in _Scan(monoid, limit).mask_deltas():
+        gaps.update(delta)
     return tuple(sorted(gaps))
 
 
@@ -414,10 +455,10 @@ def delta_periodicity(monoid: NumericalMonoid, horizon):
 
     scan = _Scan(monoid, horizon)
     deltas = []  # Delta(m) at index m, None for the gaps of the monoid
-    for m, mask in scan:
+    for m, delta in scan.mask_deltas():
         if m > len(deltas):
             deltas += [None] * (m - len(deltas))
-        deltas.append(_mask_gaps(mask, scan.d))
+        deltas.append(delta)
     top = horizon
     if scan.keys is not None:  # it fired at M = len(deltas)
         top = min(horizon, len(deltas) + lcm)

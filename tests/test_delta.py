@@ -145,6 +145,28 @@ class TestCertificate:
         assert _scanned(MCNUGGET, limit) == (limit, None)
         assert delta_set(MCNUGGET) == (1, 2, 3, 4)
 
+    def test_mask_memo_is_emptied_at_the_cap(self, monkeypatch):
+        # both scans stay below the certificate's floor of <51,53,55,117>, so a
+        # cap of 300 bits changes nothing but the memo: a mask there holds at
+        # most 269 bits, so the memo keeps one mask at a time
+        S = NumericalMonoid([51, 53, 55, 117])
+        queries = (lambda: delta_set(S, bound_override=9699), lambda: delta_periodicity(S, 13677))
+        answers = [query() for query in queries]
+        monkeypatch.setattr("numfac.delta._CERTIFICATE_BITS", 300)
+        peaks = []
+        for query, answer in zip(queries, answers):
+            tracemalloc.start()
+            try:
+                assert query() == answer
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # with the default cap the memo of delta_set keeps its 1,770 distinct
+        # masks, about 250 KB.  delta_periodicity keeps one Delta per integer
+        # up to 13,677: a list slot and at most one tuple each
+        assert peaks[0] < 64_000
+        assert peaks[1] < 1_000_000
+
 
 class TestPeriodicity:
     def test_mcnugget_start_and_period(self):

@@ -302,6 +302,8 @@ def _scanned_deltas(S, n):
 @given(gen_sets, st.none() | st.integers(0, 20000))
 @example([5, 7, 9], None)  # d_min = 2
 @example([6, 9, 20], 144)
+# the limit 61 is a gap: the scan ends at 60 with no certificate
+@example([20, 27, 30], 1)
 @settings(max_examples=25, deadline=None)
 def test_certified_delta_set_matches_full_scan(gens, bound):
     # the certificate may stop the scan early; the union to the limit is the oracle
@@ -310,9 +312,79 @@ def test_certified_delta_set_matches_full_scan(gens, bound):
     assume(limit <= 60_000)
     deltas = _scanned_deltas(S, limit)
     assert delta_set(S, bound_override=bound) == tuple(sorted(set().union(*deltas.values())))
-    # and what it certifies: Delta(m) = Delta(m - p) past the stop
-    last, p = deque(_Scan(S, limit), maxlen=1)[0][0], S.period_hint
-    assert all(deltas[m] == deltas[m - p] for m in range(last + 1, limit + 1))
+    scan, p = _Scan(S, limit), S.period_hint
+    last = deque(scan, maxlen=1)[0][0]
+    if scan.keys is None:
+        # the scan ran to the limit: every integer past its last element is a gap
+        assert not any(S.contains(m) for m in range(last + 1, limit + 1))
+    else:
+        # what it certifies: Delta(m) = Delta(m - p) past the stop
+        assert all(deltas[m] == deltas[m - p] for m in range(last + 1, limit + 1))
+
+
+def _per_element_certificate(scan):
+    """(last element scanned, keys) of the certificate of ``scan``, checking (O) element by element.
+
+    The reference for the batched (O) of `_Scan._certified`: the same
+    (W) and (E) bookkeeping, with lo and hi in p slots and (O) tested
+    on every well-formed element as it is reached.  overlap counts the
+    consecutive well-formed elements that satisfy (O).
+    """
+    gens = scan.monoid.generators
+    nk = gens[-1]
+    p, d, H, a, b, start = scan.p, scan.d, scan.H, scan.a, scan.b, scan.start
+    wide, low = 2 * H + d, (1 << H) - 1
+    los, his, keys = [0] * p, [0] * p, [None] * p
+    same = overlap = 0
+    m = -1
+    for m, mask in _length_masks_up_to(scan.monoid, scan.stop):
+        if m <= start - nk:
+            continue
+        slot = m % p
+        hi = mask.bit_length() - 1
+        lo = (mask & -mask).bit_length() - 1
+        los[slot], his[slot] = lo, hi
+        if m <= start:
+            continue
+        width = hi - lo
+        if width >= wide:
+            bot, top = (mask >> lo) & low, mask >> (hi - H + 1)
+            middle = mask.bit_count() - bot.bit_count() - top.bit_count()
+        if width < wide or middle != (width - 2 * H) // d + 1:
+            same = overlap = 0
+            keys[slot] = None
+            continue
+        q = m // p
+        key = (bot, top, lo - a * q, hi - b * q)
+        same = same + 1 if keys[slot] == key else 0
+        keys[slot] = key
+        pred = [(m - g) % p for g in gens]
+        if max(los[i] for i in pred) + 2 * H <= min(his[i] for i in pred):
+            overlap += 1
+        else:
+            overlap = 0
+        if same >= nk and overlap >= p:
+            return m, keys
+    return m, None
+
+
+@given(gen_sets)
+@example([4, 14, 29, 31])
+@example([7, 11, 37, 38])
+@example([10, 17, 19, 25, 31])
+@example([31, 73, 77, 87, 91])
+# a check that forgets an earlier failure of (O) fires at 485, not 493
+@example([6, 9, 20])
+# one that skips the oldest element of its window fires at 1746, not 1747
+@example([11, 26, 27, 36, 39])
+@settings(max_examples=40, deadline=None)
+def test_batched_overlap_check_matches_the_per_element_loop(gens):
+    # the same stop M and the same keys, whether or not the certificate fires
+    S = NumericalMonoid(gens)
+    scan = _Scan(S, min(delta_scan_bound(S), 20_000))
+    assume(not scan.plain)
+    last = deque(scan, maxlen=1)[0][0]
+    assert (last, scan.keys) == _per_element_certificate(scan)
 
 
 @given(gen_sets)
