@@ -129,15 +129,45 @@ def factorizations(monoid: NumericalMonoid, n):
     return set(map(tuple, _final(factorizations_up_to(monoid, n)).tolist()))
 
 
-def _grid_budget(budget):
-    # bucket budgets so sweeps over nearby targets reuse one cached grid
-    return (budget // 256 + 1) * 256
-
-
-# rows a grid stage may hold: the largest grid the demos and tests build
-# has 1,226,868 rows, and a stage of 2**21 rows of k int64 columns takes
-# about 16 k MiB
+# rows a grid may hold: the largest grid the demos and tests build
+# has 1,226,868 rows, and 2**21 rows of k int64 columns take about 16 k MiB
 _GRID_ROWS_LIMIT = 2**21
+
+
+@lru_cache(maxsize=256)
+def _grid_fits(gens, budget):
+    """True iff ``_sorted_grid(gens, budget)`` holds at most ``_GRID_ROWS_LIMIT`` rows.
+
+    Counts the rows stage by stage as ``_sorted_grid`` builds them, but
+    keeps only the values of all stages but the last, so it allocates at
+    most one int64 column of ``_GRID_ROWS_LIMIT`` entries.
+    """
+    # the grid holds the budget // g + 1 multiples of each g, so this check,
+    # in Python ints, leaves numpy a budget and row sums in int64
+    if any(budget // g >= _GRID_ROWS_LIMIT for g in gens):
+        return False
+    budget = require_i64(budget, "grid budget")
+    values = np.zeros(1, dtype=np.int64)
+    for g in reversed(gens[1:]):
+        reps = (budget - values) // g + 1
+        if int(reps.sum()) > _GRID_ROWS_LIMIT:
+            return False
+        idx, counts = _copies(reps)
+        values = values[idx] + counts * g
+    return int(((budget - values) // gens[0] + 1).sum()) <= _GRID_ROWS_LIMIT
+
+
+def _copies(reps):
+    """(idx, counts): each row i of a grid stage, repeated with 0 to reps[i] - 1 copies of the next generator."""
+    idx = np.repeat(np.arange(len(reps)), reps)
+    return idx, np.arange(len(idx)) - (np.cumsum(reps) - reps)[idx]
+
+
+def _grid_budget(gens, budget):
+    # bucket budgets so sweeps over nearby targets reuse one cached grid,
+    # unless the wider grid would pass the row cap
+    rounded = (budget // 256 + 1) * 256
+    return rounded if _grid_fits(gens, rounded) else budget
 
 
 @lru_cache(maxsize=64)
@@ -148,24 +178,15 @@ def _sorted_grid(gens, budget):
     generator (in the given order), values its dot product with gens,
     ascending, so exact values are slice lookups.  Built by extending
     with the largest generator first to keep the intermediate row
-    counts small.  A stage of more than ``_GRID_ROWS_LIMIT`` rows is
+    counts small.  A grid of more than ``_GRID_ROWS_LIMIT`` rows is
     refused with Int64Overflow before it is allocated.
     """
-    # the grid holds the budget // g + 1 multiples of each g, so this check,
-    # in Python ints, leaves numpy a budget and row sums in int64
-    if any(budget // g >= _GRID_ROWS_LIMIT for g in gens):
+    if not _grid_fits(gens, budget):
         raise Int64Overflow(f"a grid of vectors up to {budget} exceeds {_GRID_ROWS_LIMIT} rows")
-    budget = require_i64(budget, "grid budget")
     rows = np.zeros((1, 0), dtype=np.int64)
     values = np.zeros(1, dtype=np.int64)
     for g in reversed(gens):
-        reps = (budget - values) // g + 1
-        total = int(reps.sum())
-        if total > _GRID_ROWS_LIMIT:
-            raise Int64Overflow(f"a grid of vectors up to {budget} exceeds {_GRID_ROWS_LIMIT} rows")
-        idx = np.repeat(np.arange(len(rows)), reps)
-        starts = np.repeat(np.cumsum(reps) - reps, reps)
-        counts = np.arange(total) - starts
+        idx, counts = _copies((budget - values) // g + 1)
         rows = np.column_stack([counts, rows[idx]])
         values = values[idx] + counts * g
     order = np.argsort(values, kind="stable")
@@ -188,7 +209,7 @@ def brute_force_factorizations(monoid: NumericalMonoid, n, support=None):
         for g in chosen:
             if g not in gens:
                 raise NotAGenerator(f"{g} is not a minimal generator of {monoid!r}")
-    rows, values = _sorted_grid(chosen, _grid_budget(n))
+    rows, values = _sorted_grid(chosen, _grid_budget(chosen, n))
     lo, hi = np.searchsorted(values, (n, n + 1))
     full = np.zeros((hi - lo, len(gens)), dtype=np.int64)
     full[:, [gens.index(g) for g in chosen]] = rows[lo:hi]

@@ -361,7 +361,7 @@ def bullets_brute_force(monoid: NumericalMonoid, x):
         return _zero_bullet(monoid)
     gens = monoid.generators
     budget = x + monoid.frobenius + gens[-1]
-    rows, values = _sorted_grid(gens, _grid_budget(budget))
+    rows, values = _sorted_grid(gens, _grid_budget(gens, budget))
     # bullet values lie in [x, budget]: y = v - x sits in [0, F + nk]
     lo, hi = np.searchsorted(values, (max(x, 0), budget + 1))
     rows = rows[lo:hi]
@@ -397,6 +397,84 @@ def _apery_intersections(monoid):
         itertools.combinations(monoid.generators, size) for size in range(1, monoid.k + 1))
     commons = ((A, monoid.apery_intersection(A)) for A in subsets)
     return tuple((A, math.gcd(*A), common) for A, common in commons if common)
+
+
+def _passes(monoid, support):
+    """The y in [0, F(S) + nk] with y in S and y - g outside S for every g in ``support``.
+
+    A vector b of value v is a bullet of x exactly when y = v - x passes
+    this test for the support of b, and no y past F(S) + nk passes it
+    for a non-empty support.
+    """
+    y = np.arange(monoid.frobenius + monoid.generators[-1] + 1)
+    good = monoid.contains_array(y)
+    for g in support:
+        good &= ~monoid.contains_array(y - g)
+    return np.flatnonzero(good)
+
+
+def _bullet_table(monoid, x_max):
+    """bul(x) for every x in [min(-F(S), 0), x_max], read off one grid.
+
+    Returns (offsets, rows): bul(x) is rows[offsets[i]:offsets[i + 1]]
+    for x = min(-F(S), 0) + i, the same set ``bullets_brute_force``
+    returns for x.  Every bullet of x has a value v <= x + F(S) + nk,
+    and whether it is one depends only on y = v - x and its support
+    (``_passes``).  So one grid up to x_max + F(S) + nk holds every
+    bullet of the range: each row of value v is a bullet of x = v - y
+    for each y its support passes, and the (x, row) pairs are sorted by
+    x.  For -x in S, only the zero vector passes, at y = -x.
+    """
+    gens = monoid.generators
+    base = min(-monoid.frobenius, 0)
+    rows, values = _sorted_grid(gens, x_max + monoid.frobenius + gens[-1])
+    supports, which = np.unique(rows > 0, axis=0, return_inverse=True)
+    # the rows of each support, in ascending value
+    by_support = np.argsort(which.ravel(), kind="stable")
+    ends = np.cumsum(np.bincount(which.ravel(), minlength=len(supports))).tolist()
+    xs, picks = [], []
+    for support, start, end in zip(supports, [0] + ends, ends):
+        mine = by_support[start:end]
+        ys = _passes(monoid, np.compress(support, gens))
+        # x = v - y lies in [base, x_max] iff v lies in [base + y, x_max + y]
+        lo, hi = values[mine].searchsorted([ys + base, ys + x_max + 1])
+        sizes = hi - lo
+        pick = mine[np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)]
+        xs.append(values[pick] - np.repeat(ys, sizes))
+        picks.append(pick)
+    x = np.concatenate(xs)
+    order = np.argsort(x, kind="stable")
+    offsets = x[order].searchsorted(np.arange(base, x_max + 2))
+    return offsets, rows[np.concatenate(picks)[order]]
+
+
+def _apery_omegas(monoid, x_max):
+    """omega(x) for every x in [min(-F(S), 0), x_max], as int64, by the Apery route.
+
+    The one-pass form of ``bullets_via_apery``: omega(x) is the length
+    of the longest vector supported on A with value x + y, over every
+    generator subset A and every y in its Apery intersection.  One grid
+    over A, up to x_max plus its largest y, gives the longest vector of
+    each value.  Where -x is in S, omega(x) is 0, as there.
+    """
+    base = min(-monoid.frobenius, 0)
+    x = np.arange(base, x_max + 1)
+    w = np.full(len(x), -1, dtype=np.int64)
+    for A, _, common in _apery_intersections(monoid):
+        common = [y for y in common if y >= -x_max]  # else x + y < 0 for every x
+        if not common:
+            continue
+        top = x_max + common[-1]
+        rows, values = _sorted_grid(A, top)
+        # longest[t]: the longest vector over A of value t, -1 if there is none
+        longest = np.full(top + 1, -1, dtype=np.int64)
+        starts = np.flatnonzero(np.diff(values, prepend=-1))
+        longest[values[starts]] = np.maximum.reduceat(rows.sum(axis=1), starts)
+        for y in common:
+            skip = max(0, -y - base)  # x + y >= 0 from x = -y on
+            np.maximum(w[skip:], longest[base + y + skip:x_max + y + 1], out=w[skip:])
+    w[monoid.contains_array(-x)] = 0
+    return w
 
 
 @dataclass(frozen=True)

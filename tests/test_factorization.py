@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import pytest
@@ -14,6 +15,9 @@ from numfac import (
     length_sets_up_to,
     max_length,
 )
+from numfac.factorization import _grid_fits, _sorted_grid
+
+factorization_module = importlib.import_module("numfac.factorization")
 
 MCNUGGET = NumericalMonoid([6, 9, 20])
 
@@ -98,6 +102,25 @@ class TestBruteForce:
     def test_unknown_support_rejected(self):
         with pytest.raises(NotAGenerator):
             brute_force_factorizations(MCNUGGET, 60, support={7})
+
+    def test_a_rounded_grid_past_the_row_cap_falls_back_to_the_exact_budget(self):
+        # budget 0 rounds up to a grid of 256, which holds more than 2**21
+        # vectors over these ten generators; the grid of budget 0 holds one
+        S = NumericalMonoid([10, 12, 13, 14, 15, 16, 17, 18, 19, 21])
+        assert not _grid_fits(S.generators, 256)
+        assert brute_force_factorizations(S, 0) == {(0,) * 10}
+        assert brute_force_factorizations(S, 60) == factorizations(S, 60)
+
+    @pytest.mark.parametrize("gens", [(1,), (6, 9, 20), (10, 12, 13, 14, 15, 16, 17, 18, 19, 21)])
+    def test_grid_fits_counts_the_rows_the_grid_holds(self, gens, monkeypatch):
+        for budget in (0, 5, 21, 60, 97):
+            rows = len(_sorted_grid(gens, budget)[0])
+            for limit, fits in ((rows, True), (rows - 1, False)):
+                _grid_fits.cache_clear()
+                monkeypatch.setattr(factorization_module, "_GRID_ROWS_LIMIT", limit)
+                assert _grid_fits(gens, budget) == fits, (budget, limit)
+                monkeypatch.undo()
+        _grid_fits.cache_clear()
 
 
 class TestScaling:
