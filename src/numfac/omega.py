@@ -1,4 +1,4 @@
-"""Omega-primality over the integers, via dynamic bullets.
+"""Omega-primality over the integers, via dynamic bullets and max-length tables.
 
 A bullet for an integer x is an exponent vector b whose value
 v = sum(bi * ni) satisfies v - x in S while v - x - ni lies outside S
@@ -6,9 +6,9 @@ for every generator ni actually used.  omega(x) is the largest bullet
 length; it is 0 exactly when -x is in S, and 1 exactly when -x is a
 pseudo-Frobenius number.
 
-Three independent routes to the same numbers live here:
+Four routes to the same numbers live here:
 
-  * ``omega_up_to`` runs the dynamic scan.  Each element m keeps a
+  * ``_blocks`` runs the paper's dynamic scan.  Each element m keeps a
     window entry of (value, length) pairs ("dynamic bullets", at most
     one pair per value, the longest).  The entry for m is obtained by
     pushing every pair of the entries for m - ni through the cover map:
@@ -21,10 +21,15 @@ Three independent routes to the same numbers live here:
     every key of the scan fits in 31 bits and int64 otherwise; a target
     whose keys would not fit in 63 bits is refused with Int64Overflow.
     Every integer below -F(S) has the constant entry {(0, 0)}, which
-    lets the scan start at min(-F(S), 0).  omega(m) is the largest
-    length of its entry; ``omega_up_to`` and ``quasilinear_model`` read
-    it off the block stream as int64 arrays, and ``dynamic_bullets``
-    takes the last entry of the last block.
+    lets the scan start at min(-F(S), 0).  ``dynamic_bullets`` takes
+    the last entry of the last block, and ``numfac verify`` checks the
+    longest pair of every entry against both oracles below.
+  * ``_omega_table`` reads omega(x) for every x of a range
+    [min(-F(S), 0), top] off max-length tables of generator subsets,
+    with no bullets: where -x lies outside S, omega(x) is the longest
+    factorization of x + y over the generators ni with y - ni outside
+    S, over the y in S up to F(S) + nk.  ``omega``, ``omega_up_to`` and
+    ``quasilinear_model`` read their values off it.
   * ``bullets_brute_force`` enumerates exponent vectors directly and
     filters by the two bullet conditions.  Values never exceed
     x + F(S) + nk, which bounds the enumeration.
@@ -37,14 +42,15 @@ For n above the threshold N0 = ceil((F(S) + n2) * n1 / (n2 - n1)) the
 omega function is quasilinear: omega(n) = n / n1 + a(n mod n1) with
 exact rational offsets a (O'Neill and Pelayo, "On the linearity of
 omega-primality in numerical monoids", JPAA 2014).  ``quasilinear_model``
-captures that shape (and where it empirically begins) from one scan to
-N0 + 2 * n1, whose omega table it keeps, and ``omega_extrapolate``
+captures that shape (and where it empirically begins) from one omega
+table to N0 + 2 * n1, which it keeps, and ``omega_extrapolate``
 evaluates it for arbitrarily large n in constant time.  ``omega`` and
 ``omega_up_to`` (and every sweep of the command line) answer each
 n >= N0 from the memoized model, its table up to N0 + 2 * n1 and its
-anchors past it, so one scan per monoid serves them all; below N0 they
-scan to n.  A target is still admitted or refused by the packed-key
-bound of a scan to it, so no sweep runs without end.
+anchors past it, so one table per monoid serves them all; below N0 they
+read the omega table to n.  A target of ``omega_up_to`` is still
+admitted or refused by the packed-key bound of a scan to it, and every
+table by its length, so no sweep runs without end.
 """
 
 from __future__ import annotations
@@ -242,48 +248,216 @@ def _run_ends(key, bits):
     return last
 
 
-def _omega_blocks(monoid, n):
-    """Yield (M, omegas) with omegas[s] = omega(M + s), block by block."""
-    for M, offsets, _, lengths in _blocks(monoid, n):
-        yield M, np.maximum.reduceat(lengths, offsets[:-1])
+def _omega_table(monoid, top):
+    """omega(x) for every x in [min(-F(S), 0), top], as int64, from restricted max-length tables.
+
+    The same numbers as the longest pair of each entry of ``_blocks``,
+    read without the bullets.  For y in S with y <= F(S) + nk, let
+    G(y) = {ni : y - ni outside S}.  Where -x lies outside S, a vector b
+    is a bullet of x exactly when y = v(b) - x lies in S and the support
+    of b lies in G(y); such a y is at most F(S) + nk, since past that
+    every y - ni lies in S.  Let M_A(t) be the longest factorization of
+    t that uses only the generators in A, or -inf if there is none: the
+    paper's one-step max-length recurrence restricted to A.  So omega(x)
+    is the largest M_G(y)(x + y) over the y with G(y) non-empty.  Where
+    -x lies in S, omega(x) = 0, as in the scan.
+
+    The y are grouped by their subset A = G(y) (``_supports``).  Since
+    M_A(t + j * a) >= M_A(t) + j for every a in A, a y is dominated by
+    every larger y of its residue class mod a = min(A).  A singleton
+    A = {a} needs no table: M_A(x + y) = (x + y) / a where a divides
+    x + y, so each x reads the largest y of the class of -x
+    (``_fold_singleton``).  Every other A keeps only the largest y of
+    each class, at most a of them, builds M_A up to top plus the largest
+    of them, one unbounded-knapsack pass per generator (``_extend``), and
+    folds one ``np.maximum`` per kept y into omega.  The subsets come in
+    lexicographic order, and only the tables of the prefixes of the
+    current one stay alive, at most k of them.  The tables and the
+    running omega are int16 when every length, row index and the
+    sentinel fit, and int32 or int64 otherwise (``_sentinel``).  A range
+    past ``_MODEL_TABLE_LIMIT`` integers is refused before anything is
+    built.
+    """
+    _check_range(monoid, top)
+    gens = monoid.generators
+    nk = gens[-1]
+    base = min(-monoid.frobenius, 0)
+    reach = monoid.frobenius + nk
+    # member[nk + y] is True iff y in [-nk, F(S) + nk] lies in S
+    member = np.concatenate((np.zeros(nk, dtype=bool), monoid._table, np.ones(nk, dtype=bool)))
+    groups = []
+    for A, ys in _supports(gens, member, reach):
+        ys = ys[ys >= -top]  # else x + y < 0 for every x
+        if len(A) > 1:  # the largest y of each class mod min(A)
+            _, last = np.unique(ys[::-1] % gens[A[0]], return_index=True)
+            ys = ys[::-1][last]
+        if len(ys):
+            groups.append((A, ys))
+    s = _sentinel(monoid, top)
+    w = np.full(top - base + 1, s)
+    _fold(w, gens, groups, base, s)
+    w = w.astype(np.int64)
+    # x = base + i in [base, min(top, 0)] has -x = -base - i
+    zero = member[nk + max(-top, 0):nk - base + 1][::-1]
+    w[:len(zero)][zero] = 0
+    return w
 
 
-# rows per chunk of the model route: a chunk's arrays take about 40
-# bytes a row, so a sweep to any target holds a bounded amount of them
+def _fold(w, gens, groups, base, s):
+    """Fold every (A, ys) of ``groups`` into w, omega so far of x = base + i at w[i].
+
+    s is the sentinel of ``_sentinel``.  A function of its own, so its
+    max-length tables are freed before ``_omega_table`` makes its int64
+    copy.
+    """
+    top = base + len(w) - 1
+    size = top + 1 + max([ys.max() for A, ys in groups if len(A) > 1], default=0)
+    path, tables = [], []  # tables[j] is M over the generators path[:j + 1]
+    for A, ys in groups:
+        if len(A) == 1:
+            _fold_singleton(w, gens[A[0]], base, ys, s)
+            continue
+        # keep the tables of the longest common prefix of path and A
+        common = next((j for j, (i, h) in enumerate(zip(path, A)) if i != h),
+                      min(len(path), len(A)))
+        del path[common:], tables[common:]
+        for i in A[common:]:
+            tables.append(_extend(tables[-1] if tables else None, gens[i], size, s))
+            path.append(i)
+        for y in ys.tolist():
+            skip = max(0, -y - base)  # x + y >= 0 from x = -y on
+            np.maximum(w[skip:], tables[-1][base + y + skip:top + y + 1], out=w[skip:])
+
+
+def _sentinel(monoid, top):
+    """The mark of a t with no factorization in ``_omega_table`` to top, in its tables' dtype.
+
+    Every length, and every row index of ``_extend`` and
+    ``_fold_singleton``, lies below q = (top + F(S) + nk) // n1 + 1.  A
+    pass of ``_extend`` raises a sentinel by less than q, so after the
+    at most k passes of a table s = -(k + 1) * q still lies below every
+    length less its row index, and below 0.  The tables are int16 when
+    the lowest value a pass forms, s - q, fits, and int32 or int64
+    otherwise.
+    """
+    k = len(monoid.generators)
+    q = (top + monoid.frobenius + monoid.generators[-1]) // monoid.generators[0] + 1
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if (k + 2) * q <= -np.iinfo(t).min)
+    return dtype(-(k + 1) * q)
+
+
+def _supports(gens, member, reach):
+    """Yield (A, ys) for each non-empty subset A = G(y) of some y, with its y ascending.
+
+    A is a tuple of generator indices, and the subsets come in
+    lexicographic order of their membership vectors.  ``member`` and
+    ``reach`` are those of ``_omega_table``.
+    """
+    nk = gens[-1]
+    # outside[i, y]: y - gens[i] lies outside S
+    outside = np.array([~member[nk - g:nk - g + reach + 1] for g in gens])
+    # int32, as F(S) + nk < 2**31 on every monoid the membership table admits
+    ys = np.flatnonzero(member[nk:] & outside.any(axis=0)).astype(np.int32)
+    outside = outside[:, ys]
+    order = np.lexsort(outside[::-1])  # stable, so the y of each subset stay ascending
+    ys, outside = ys[order], outside[:, order]
+    starts = np.flatnonzero(np.r_[True, (outside[:, 1:] != outside[:, :-1]).any(axis=0)])
+    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(ys)]):
+        yield tuple(np.flatnonzero(outside[:, lo]).tolist()), ys[lo:hi]
+
+
+def _extend(table, g, size, s):
+    """M over A and g, from M over A (None for the empty A): one unbounded-knapsack pass.
+
+    Both tables cover t in [0, size).  With t = j * g + r, the new
+    M(t) is the largest M(i * g + r) + j - i over i <= j, so the table
+    in rows of g has its row index taken off, a running maximum down
+    each column, and the row index put back.  The sentinel s, a scalar
+    of the tables' dtype, marks a t with no factorization.
+    """
+    rows = -(-size // g)
+    out = np.full(rows * g, s)
+    if table is None:
+        out[0] = 0  # the empty factorization of 0
+    else:
+        out[:size] = table
+    grid = out.reshape(rows, g)
+    j = np.arange(rows, dtype=out.dtype)[:, None]
+    grid -= j
+    np.maximum.accumulate(grid, axis=0, out=grid)
+    grid += j
+    return out[:size]
+
+
+def _fold_singleton(w, a, base, ys, s):
+    """Fold the largest M_{a}(x + y) = (x + y) / a over the y into w.
+
+    w[i] is omega so far of x = base + i.  Seen in rows of a, column
+    c = (-base - y) mod a holds the x = base + c + j * a with a dividing
+    x + y = (base + c + y) + j * a, so x reads j + head[c], with
+    head[c] the largest (base + c + y) / a of the column, or the
+    sentinel s if it has no y.
+    """
+    col = (-base - ys) % a
+    on = col < len(w)
+    col = col[on]
+    head = np.full(min(a, len(w)), s)
+    np.maximum.at(head, col, ((base + col + ys[on]) // a).astype(w.dtype))
+    rows = len(w) // a
+    if rows:
+        grid = w[:rows * a].reshape(rows, a)
+        np.maximum(grid, np.arange(rows, dtype=w.dtype)[:, None] + head, out=grid)
+    tail = w[rows * a:]
+    np.maximum(tail, rows + head[:len(tail)], out=tail)
+
+
+# rows per chunk of ``_omegas``: a chunk's arrays take about 40 bytes a
+# row, so a sweep to any target holds a bounded amount of them besides
+# its omega table
 _CHUNK = 2048
 
-# integers of the scan range [min(-F(S), 0), N0 + 2 * n1] of a quasilinear
-# model, whose table takes 8 bytes each: a larger model is refused with
-# Int64Overflow before its table or its scan is built.  dynamic_bullets
-# refuses a longer scan range the same way
+# integers of the range [min(-F(S), 0), N0 + 2 * n1] of a quasilinear
+# model, and of [min(-F(S), 0), n] of an omega table or a bullet scan to
+# n: a longer range is refused with Int64Overflow before anything is
+# built.  A model keeps 8 bytes per integer, its int64 omega table.
+# Building an omega table holds up to (k + 1) * b bytes per integer while
+# it folds, b = 2, 4 or 8 as ``_sentinel`` picks int16, int32 or int64:
+# the narrow running omega and at most k max-length tables, each longer
+# than the range by up to nk integers.  Then it holds b + 8 bytes per
+# integer, the running omega and its int64 copy
 _MODEL_TABLE_LIMIT = 50_000_000
 
 
-def _omegas(monoid, n, domain):
-    """Yield blocks (m, omega(m)) of int64 arrays over the domain of ``omega_up_to``, ascending.
+def _check_range(monoid, n):
+    """Refuse a range [min(-F(S), 0), n] past ``_MODEL_TABLE_LIMIT`` integers with Int64Overflow."""
+    if n - min(-monoid.frobenius, 0) + 1 > _MODEL_TABLE_LIMIT:
+        raise Int64Overflow(f"a bullet scan to {n} exceeds the cap of {_MODEL_TABLE_LIMIT} integers")
 
-    Below the ``quasilinear_model`` threshold N0, and on <1>, they are the
-    blocks of the scan to n.  For n >= N0 they are chunks of ``_CHUNK``
-    rows: slices of the model's table up to N0 + 2 * n1, then
+
+def _omegas(monoid, n, domain):
+    """Yield chunks (m, omega(m)) of int64 arrays over the domain of ``omega_up_to``, ascending.
+
+    Below the ``quasilinear_model`` threshold N0, and on <1>, they are
+    chunks of ``_CHUNK`` rows of ``_omega_table`` to n.  For n >= N0
+    they are slices of the model's table up to N0 + 2 * n1, then
     omega(m) = (m + w0 * n1 - m0) / n1 for the anchor (m0, w0) of
     m mod n1.  Both routes admit or refuse n by ``_admit`` first.
     """
     if domain not in ("monoid", "quotient"):
         raise ValueError(f"domain must be 'monoid' or 'quotient', got {domain!r}")
     n, base, *_ = _admit(monoid, n)
-    if len(monoid.generators) < 2 or n < _threshold(monoid):
-        for M, omegas in _omega_blocks(monoid, n):
-            yield _in_domain(monoid, domain, np.arange(M, M + len(omegas)), omegas)
-        return
-    model = quasilinear_model(monoid)
-    n1, top = model.n1, base + len(model._table) - 1  # top = N0 + 2 * n1
+    past = len(monoid.generators) >= 2 and n >= _threshold(monoid)
+    model = quasilinear_model(monoid) if past else None
+    table = _omega_table(monoid, n) if model is None else model._table
+    top = base + len(table) - 1  # n, or N0 + 2 * n1 for the model
     for lo in range(base, min(n, top) + 1, _CHUNK):
         m = np.arange(lo, min(lo + _CHUNK, n + 1, top + 1))
-        yield _in_domain(monoid, domain, m, model._table[lo - base:lo - base + len(m)])
-    shift = np.array([w0 * n1 - m0 for m0, w0 in model.anchors])
-    for lo in range(top + 1, n + 1, _CHUNK):
-        m = np.arange(lo, min(lo + _CHUNK, n + 1))
-        yield _in_domain(monoid, domain, m, (m + shift[m % n1]) // n1)
+        yield _in_domain(monoid, domain, m, table[lo - base:lo - base + len(m)])
+    if n > top:
+        shift = np.array([w0 * model.n1 - m0 for m0, w0 in model.anchors])
+        for lo in range(top + 1, n + 1, _CHUNK):
+            m = np.arange(lo, min(lo + _CHUNK, n + 1))
+            yield _in_domain(monoid, domain, m, (m + shift[m % model.n1]) // model.n1)
 
 
 def _in_domain(monoid, domain, m, omegas):
@@ -294,16 +468,18 @@ def _in_domain(monoid, domain, m, omegas):
 
 
 def omega_up_to(monoid: NumericalMonoid, n, domain="monoid"):
-    """Map m -> omega(m) for m up to n, via the dynamic-bullet scan.
+    """Map m -> omega(m) for m up to n.
 
     ``domain="monoid"`` returns entries for the monoid elements of
     [0, n]; ``domain="quotient"`` returns every integer of
     [min(-F(S), 0), n].  The target must not lie below that start, and
     a target whose packed bullet keys cannot fit in 63 bits (above about
-    6.4e9 on <6,9,20>) raises Int64Overflow before the scan starts.
-    From the ``quasilinear_model`` threshold N0 on, every value is read
-    off that memoized model (its table to N0 + 2 * n1, its anchors past
-    it), so the scan to N0 + 2 * n1 runs once per monoid.
+    6.4e9 on <6,9,20>) raises Int64Overflow before anything is built.
+    Below the ``quasilinear_model`` threshold N0, the values are read
+    off one omega table to n, and a range of more than 50,000,000
+    integers is refused with Int64Overflow first.  From N0 on, every
+    value is read off that memoized model (its table to N0 + 2 * n1,
+    its anchors past it), so that table is built once per monoid.
     """
     return {m: w for ms, omegas in _omegas(monoid, n, domain)
             for m, w in zip(ms.tolist(), omegas.tolist())}
@@ -315,14 +491,18 @@ def omega(monoid: NumericalMonoid, n):
     From the ``quasilinear_model`` threshold N0 on, the answer comes from
     that memoized model (its table to N0 + 2 * n1, then
     ``omega_extrapolate``), so omega(N0), the model and every later omega
-    share one scan.  Every n below N0, and <1>, is read off the scan to n.
+    share one table.  Every n below N0, and <1>, is read off the omega
+    table to n, whose range [min(-F(S), 0), n] is refused with
+    Int64Overflow past 50,000,000 integers, as ``dynamic_bullets`` is.
     """
     n = require_i64(n, "target")
+    if n < -monoid.frobenius:
+        return 0
     if len(monoid.generators) >= 2 and n >= _threshold(monoid):
         model = quasilinear_model(monoid)
         at = n - min(-monoid.frobenius, 0)
         return int(model._table[at]) if at < len(model._table) else omega_extrapolate(model, n)
-    return max(length for _, length in dynamic_bullets(monoid, n))
+    return int(_omega_table(monoid, n)[-1])
 
 
 def dynamic_bullets(monoid: NumericalMonoid, n):
@@ -338,8 +518,7 @@ def dynamic_bullets(monoid: NumericalMonoid, n):
     n = require_i64(n, "target")
     if n < -monoid.frobenius:
         return ((0, 0),)
-    if n - min(-monoid.frobenius, 0) + 1 > _MODEL_TABLE_LIMIT:
-        raise Int64Overflow(f"a bullet scan to {n} exceeds the cap of {_MODEL_TABLE_LIMIT} integers")
+    _check_range(monoid, n)
     _, offsets, values, lengths = deque(_blocks(monoid, n), maxlen=1)[0]
     lo, hi = offsets[-2:].tolist()  # the entry of n closes the last block
     return tuple(zip(values[lo:hi].tolist(), lengths[lo:hi].tolist()))
@@ -496,7 +675,7 @@ class QuasilinearModel:
     dissonance: int
     dissonance_in_monoid: int
     anchors: tuple = field(repr=False)
-    _table: np.ndarray = field(repr=False, compare=False)  # read-only omega of the scan
+    _table: np.ndarray = field(repr=False, compare=False)  # read-only omega table
 
     @property
     def N0(self):
@@ -513,14 +692,15 @@ def _threshold(monoid):
 def quasilinear_model(monoid: NumericalMonoid):
     """Fit the exact eventual quasilinear form of omega on S.
 
-    Runs the dynamic scan up to threshold + 2 * n1 and keeps its omega
-    table (8 bytes per integer), reads one exact rational offset per
-    residue class off its top, and locates the empirical start of the
-    omega(n) = omega(n - n1) + 1 recurrence in both the quotient-group
-    and monoid-only readings.  Memoized per monoid, so ``omega`` and
-    ``omega_up_to`` from the threshold on scan once per monoid.  A model
-    whose range holds more than 50,000,000 integers (a 400 MB table) is
-    refused with Int64Overflow before anything is built.
+    Builds the omega table (``_omega_table``) up to threshold + 2 * n1
+    and keeps it (8 bytes per integer), reads one exact rational offset
+    per residue class off its top, and locates the empirical start of
+    the omega(n) = omega(n - n1) + 1 recurrence in both the
+    quotient-group and monoid-only readings.  Memoized per monoid, so
+    ``omega`` and ``omega_up_to`` from the threshold on build one table
+    per monoid.  A model whose range holds more than 50,000,000 integers
+    (a 400 MB table) is refused with Int64Overflow before anything is
+    built.
     """
     gens = monoid.generators
     if len(gens) < 2:
@@ -533,10 +713,7 @@ def quasilinear_model(monoid: NumericalMonoid):
         raise Int64Overflow(
             f"quasilinear model range [{base}, {top}] exceeds the model table cap"
         )
-    # omega(m) at index m - base, in an array to keep the peak memory low
-    w = np.empty(top - base + 1, dtype=np.int64)
-    for M, omegas in _omega_blocks(monoid, top):
-        w[M - base:M - base + len(omegas)] = omegas
+    w = _omega_table(monoid, top)  # omega(m) at index m - base
     w.flags.writeable = False
     # one anchor per residue class mod n1, each in (threshold, threshold + n1]
     anchors = [(m0, int(w[m0 - base]))

@@ -115,19 +115,25 @@ def omega_triple_equivalence(monoid: NumericalMonoid, x_max):
 
     Sweeps x in [min(-F(S), 0), x_max], so when x_max >= N0 the rows that
     ``omega_up_to`` reads off the quasilinear model meet both oracles.
-    Each oracle makes one pass over the range: ``_bullet_table`` reads
-    every brute-force bullet set off one grid, ``_apery_omegas`` every
-    Apery-route omega off one grid per generator subset.  Also verifies
-    that no bullet set contains one bullet coordinatewise inside another.
+    ``omega_up_to`` reads max-length tables of generator subsets, so the
+    paper's dynamic-bullet scan, the longest pair of each entry of
+    ``_blocks``, meets them too.  Each oracle makes one pass over the
+    range: ``_bullet_table`` reads every brute-force bullet set off one
+    grid, ``_apery_omegas`` every Apery-route omega off one grid per
+    generator subset.  Also verifies that no bullet set contains one
+    bullet coordinatewise inside another.
     """
     name = "omega triple equivalence + bullet antichain"
     if x_max < min(-monoid.frobenius, 0):
         return PropertyResult(name, 0, 0)
     dp = np.array(list(omega_up_to(monoid, x_max, "quotient").values()))
+    scan = np.concatenate([np.maximum.reduceat(lengths, offsets[:-1])
+                           for _, offsets, _, lengths in _blocks(monoid, x_max)])
     offsets, bullets = _bullet_table(monoid, x_max)
     brute = np.maximum.reduceat(np.append(bullets.sum(axis=1), -1), offsets[:-1])
     brute[offsets[:-1] == offsets[1:]] = -1  # an empty bullet set fails
-    failures = int(np.count_nonzero((dp != brute) | (dp != _apery_omegas(monoid, x_max))))
+    oracles = np.array([brute, _apery_omegas(monoid, x_max), scan])
+    failures = int(np.count_nonzero((oracles != dp).any(axis=0)))
     bounds = offsets.tolist()
     failures += sum(not _is_antichain(bullets[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
     return PropertyResult(name, len(dp), failures)

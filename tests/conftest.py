@@ -4,7 +4,7 @@ import pytest
 def pytest_addoption(parser):
     parser.addoption(
         "--runslow", action="store_true", default=False,
-        help="run tests marked slow (the omega(357362) reproduction, about 20 s)",
+        help="run tests marked slow (the omega(357362) reproduction, about 1 s)",
     )
 
 

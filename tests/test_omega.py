@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from numfac import (
@@ -18,11 +19,18 @@ from numfac import (
     omega_up_to,
     quasilinear_model,
 )
-from numfac.omega import _blocks, _omega_blocks, _threshold
+from numfac.omega import _blocks, _omega_table, _threshold
 
 omega_module = importlib.import_module("numfac.omega")
 
 MCNUGGET = NumericalMonoid([6, 9, 20])
+
+
+def _scanned(S, n):
+    """omega(m) over the quotient scan to n: the longest pair of each entry of ``_blocks`` alone."""
+    return {M + s: w for M, offsets, _, lengths in _blocks(S, n)
+            for s, w in enumerate(np.maximum.reduceat(lengths, offsets[:-1]).tolist())}
+
 
 BUL_60 = {(4, 4, 0), (7, 2, 0), (10, 0, 0), (1, 6, 0), (0, 8, 0), (0, 0, 3)}
 BUL_51 = {(0, 7, 0), (10, 0, 0), (4, 3, 0), (1, 5, 0), (0, 0, 3), (7, 1, 0)}
@@ -278,10 +286,9 @@ class TestQuasilinearModel:
 
     def test_offsets_describe_omega(self):
         model = quasilinear_model(MCNUGGET)
-        # the scan alone, not omega or omega_up_to: past 116 both answer
-        # from this model
-        scanned = {M + s: w for M, omegas in _omega_blocks(MCNUGGET, 399)
-                   for s, w in enumerate(omegas.tolist())}
+        # the scan alone, not omega or omega_up_to: both read the omega
+        # table, and past 116 this model
+        scanned = _scanned(MCNUGGET, 399)
         for n in range(105, 400):
             expected = Fraction(n, 6) + model.offsets[n % 6]
             assert scanned[n] == expected
@@ -301,7 +308,7 @@ class TestQuasilinearModel:
         n1 = model.n1
         top = model.threshold + 2 * n1
         # the scan alone: omega_up_to to top reads the model's own table
-        w = {M + s: x for M, omegas in _omega_blocks(S, top) for s, x in enumerate(omegas.tolist())}
+        w = _scanned(S, top)
         broken = [m for m in w if m + n1 <= top and w[m + n1] != w[m] + 1]
         assert model.dissonance == max([n1] + broken)
         assert model.dissonance_in_monoid == max([n1] + [m for m in broken if S.contains(m)])
@@ -326,8 +333,8 @@ class TestQuasilinearModel:
         assert quasilinear_model(NumericalMonoid([9, 6, 20])) is quasilinear_model(MCNUGGET)
 
     def test_model_scan_memory(self):
-        # the block scan keeps its window, one key array and the n-long
-        # omega array of the model: about 2.4 MiB here
+        # the omega table of the model, its narrow running copy and the
+        # max-length tables of the generator subsets: about 0.55 MiB here
         S = NumericalMonoid([100, 121, 142, 163, 284])
         quasilinear_model.cache_clear()
         tracemalloc.start()
@@ -388,15 +395,15 @@ class TestQuasilinearModel:
     @pytest.mark.parametrize("gens", [(10, 12, 15, 16, 17), (6, 9, 20)])
     def test_each_omega_value_from_one_scan(self, monkeypatch, gens):
         # omega(N0), the model and a sweep past N0 + 2 * n1 share the
-        # memoized model's scan
+        # memoized model's omega table
         S = NumericalMonoid(gens)
         scans = []
 
         def counted(monoid, n):
             scans.append(n)
-            return _blocks(monoid, n)
+            return _omega_table(monoid, n)
 
-        monkeypatch.setattr(omega_module, "_blocks", counted)
+        monkeypatch.setattr(omega_module, "_omega_table", counted)
         quasilinear_model.cache_clear()
         N0, n1 = _threshold(S), S.generators[0]
         omega(S, N0)

@@ -26,7 +26,7 @@ from numfac import (
 )
 from numfac.delta import _d_min, _delta_at, _deltas_up_to, _mask_gaps, _Scan
 from numfac.factorization import _length_masks_up_to, _mask_to_lengths
-from numfac.omega import _admit, _blocks, _omega_blocks, _threshold
+from numfac.omega import _admit, _blocks, _omega_table, _sentinel, _threshold
 from numfac.verify import _is_antichain
 
 # small coprime generating sets keep the brute-force oracles fast
@@ -591,9 +591,63 @@ def test_first_block_at_the_key_width_boundary_matches_lexsort(n, dtype):
     _assert_blocks_match([first], _lexsort_scan(S, first[0] + S.generators[0] - 1))
 
 
+def _scan_omegas(S, n):
+    """omega(m) over the quotient scan to n, as int64: the longest pair of each entry of ``_blocks``."""
+    return np.concatenate([np.maximum.reduceat(lengths, offsets[:-1])
+                           for _, offsets, _, lengths in _blocks(S, n)])
+
+
 def _scanned(S, n):
-    """omega(m) over the quotient scan to n, read off the blocks alone, with no model."""
-    return {M + s: w for M, omegas in _omega_blocks(S, n) for s, w in enumerate(omegas.tolist())}
+    """omega(m) over the quotient scan to n, read off the blocks alone, with no model or table."""
+    base = min(-S.frobenius, 0)
+    return {base + i: w for i, w in enumerate(_scan_omegas(S, n).tolist())}
+
+
+def _assert_table_matches_scan(S, top):
+    table = _omega_table(S, top)
+    assert table.dtype == np.int64
+    assert table.tolist() == _scan_omegas(S, top).tolist()
+
+
+@given(gen_sets, st.data())
+@example([1], None)
+@example([2, 3], None)
+@settings(max_examples=40, deadline=None)
+def test_omega_table_matches_scan(gens, data):
+    # the max-length tables of the generator subsets against the longest
+    # dynamic bullet of every entry, at N0 + 2 * n1 (the model's range)
+    # and at a drawn top on either side of it
+    S = NumericalMonoid(gens)
+    base = min(-S.frobenius, 0)
+    top = _threshold(S) + 2 * S.generators[0] if S.k > 1 else 300
+    _assert_table_matches_scan(S, top)
+    if data is not None:
+        _assert_table_matches_scan(S, data.draw(st.integers(base, top + 3 * S.generators[0])))
+    for cut in range(base, base + 3):  # a range of one to three integers
+        _assert_table_matches_scan(S, cut)
+
+
+@pytest.mark.parametrize("gens, top", [
+    ((1,), 5000),
+    ((2, 3), 500),
+    # a singleton G(y) = {1048577} of 1048576 y, one column each
+    ((2, 1048577), 4000 - 1048575),
+    ((100, 121, 142, 163, 284), 25715 + 200),  # N0 + 2 * n1
+])
+def test_omega_table_matches_scan_on_fixed_monoids(gens, top):
+    _assert_table_matches_scan(NumericalMonoid(gens), top)
+
+
+@pytest.mark.parametrize("top, dtype", [
+    # on <6,9,20>, q = (top + 63) // 6 + 1 and the tables are int16 while
+    # 5 * q <= 2**15: up to top = 39254, int32 from 39255 on
+    (39254, np.int16),
+    (39255, np.int32),
+])
+def test_omega_table_at_the_int16_boundary_matches_scan(top, dtype):
+    S = NumericalMonoid([6, 9, 20])
+    assert type(_sentinel(S, top)) is dtype
+    _assert_table_matches_scan(S, top)
 
 
 @given(gen_sets)

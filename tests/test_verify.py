@@ -202,3 +202,20 @@ def test_a_planted_apery_value_fails_the_omega_count(monkeypatch):
     monkeypatch.setattr(verify_module, "_apery_omegas", planted)
     result = omega_triple_equivalence(S, 200)
     assert (result.checked, result.failures) == (244, 1)
+
+
+def test_a_planted_scan_length_fails_the_omega_count(monkeypatch):
+    # omega_up_to no longer reads the dynamic-bullet scan, so the check
+    # compares the scan's longest pairs with the oracles on its own
+    S = NumericalMonoid([6, 9, 20])
+
+    def planted(monoid, n):
+        for M, offsets, values, lengths in _blocks(monoid, n):
+            if M <= 50 < M + len(offsets) - 1:
+                lengths = lengths.copy()
+                lengths[offsets[50 - M]] += 100
+            yield M, offsets, values, lengths
+
+    monkeypatch.setattr(verify_module, "_blocks", planted)
+    result = omega_triple_equivalence(S, 200)
+    assert (result.checked, result.failures) == (244, 1)
