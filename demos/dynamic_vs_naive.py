@@ -19,15 +19,11 @@ from numfac import (
     length_sets_up_to,
     omega_up_to,
 )
-from numfac.factorization import _sorted_grid
 
 S = NumericalMonoid([10, 17, 19, 25, 31])
-N = 700
-# the naive omega loop rebuilds a grid up to x + F + nk for every x, so it
-# compares on a shorter range: at 700 it would take seconds
-N_OMEGA = 300
-
-_sorted_grid.cache_clear()
+# each naive loop rebuilds a grid for every element, so at 700 they would
+# take seconds
+N = 300
 
 print(f"S = {S}, sweeping m = 0..{N}\n")
 
@@ -49,15 +45,15 @@ print(f"\nlength-set sweep (no factorizations stored): "
       f"{lengths_count} lengths in {lt * 1000:.1f} ms")
 
 t0 = time.perf_counter()
-w = omega_up_to(S, N_OMEGA)
+w = omega_up_to(S, N)
 wd = time.perf_counter() - t0
-print(f"omega dynamic scan over [-{S.frobenius}, {N_OMEGA}]: {wd * 1000:.1f} ms")
+print(f"omega one-pass sweep over [-{S.frobenius}, {N}]: {wd * 1000:.1f} ms")
 
 t0 = time.perf_counter()
-bullets = [bullets_brute_force(S, x) for x in range(0, N_OMEGA + 1)]
+bullets = [bullets_brute_force(S, x) for x in range(0, N + 1)]
 wn = time.perf_counter() - t0
 # omega(x) is the largest bullet length of x
-assert w == {x: max(map(sum, bullets[x])) for x in range(N_OMEGA + 1) if S.contains(x)}
+assert w == {x: max(map(sum, bullets[x])) for x in range(N + 1) if S.contains(x)}
 print(f"omega via per-element bullet enumeration:  {wn * 1000:.1f} ms")
 
 print(f"\nspeedups: factorizations x{naive / dyn:.1f}, omega x{wn / wd:.1f}")

@@ -37,7 +37,6 @@ the top bit of that mask, so it needs no scan of its own.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 
 import numpy as np
 
@@ -130,11 +129,10 @@ def factorizations(monoid: NumericalMonoid, n):
 
 
 # rows a grid may hold: the largest grid the demos and tests build
-# has 1,226,868 rows, and 2**21 rows of k int64 columns take about 16 k MiB
+# has 126,309 rows, and 2**21 rows of k int64 columns take about 16 k MiB
 _GRID_ROWS_LIMIT = 2**21
 
 
-@lru_cache(maxsize=256)
 def _grid_fits(gens, budget):
     """True iff ``_sorted_grid(gens, budget)`` holds at most ``_GRID_ROWS_LIMIT`` rows.
 
@@ -163,14 +161,6 @@ def _copies(reps):
     return idx, np.arange(len(idx)) - (np.cumsum(reps) - reps)[idx]
 
 
-def _grid_budget(gens, budget):
-    # bucket budgets so sweeps over nearby targets reuse one cached grid,
-    # unless the wider grid would pass the row cap
-    rounded = (budget // 256 + 1) * 256
-    return rounded if _grid_fits(gens, rounded) else budget
-
-
-@lru_cache(maxsize=64)
 def _sorted_grid(gens, budget):
     """All exponent vectors over `gens` with value <= budget, ordered by value.
 
@@ -209,7 +199,7 @@ def brute_force_factorizations(monoid: NumericalMonoid, n, support=None):
         for g in chosen:
             if g not in gens:
                 raise NotAGenerator(f"{g} is not a minimal generator of {monoid!r}")
-    rows, values = _sorted_grid(chosen, _grid_budget(chosen, n))
+    rows, values = _sorted_grid(chosen, n)
     lo, hi = np.searchsorted(values, (n, n + 1))
     full = np.zeros((hi - lo, len(gens)), dtype=np.int64)
     full[:, [gens.index(g) for g in chosen]] = rows[lo:hi]

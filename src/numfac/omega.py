@@ -36,7 +36,12 @@ Four routes to the same numbers live here:
   * ``bullets_via_apery`` builds bul(x) from restricted factorization
     sets: a vector supported on a generator subset A is a bullet exactly
     when it factors y + x for some y in the intersection of the Apery
-    sets of A.  The intersections are built once per monoid, for every x.
+    sets of A.  It reads them off one grid per subset.
+
+The two oracles answer one x per call, each call building its own
+grids.  ``numfac verify`` reads them for a whole range of x in one
+pass: ``_bullet_table`` slices every bul(x) off one brute grid, and
+``_apery_omegas`` reads every omega(x) off one grid per subset.
 
 For n above the threshold N0 = ceil((F(S) + n2) * n1 / (n2 - n1)) the
 omega function is quasilinear: omega(n) = n / n1 + a(n mod n1) with
@@ -56,7 +61,6 @@ table by its length, so no sweep runs without end.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
@@ -66,7 +70,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BelowThreshold, Int64Overflow, TargetBelowBase
-from .factorization import _grid_budget, _sorted_grid, brute_force_factorizations
+from .factorization import _sorted_grid
 from .monoid import NumericalMonoid, require_i64
 
 __all__ = [
@@ -431,7 +435,7 @@ _MODEL_TABLE_LIMIT = 50_000_000
 def _check_range(monoid, n):
     """Refuse a range [min(-F(S), 0), n] past ``_MODEL_TABLE_LIMIT`` integers with Int64Overflow."""
     if n - min(-monoid.frobenius, 0) + 1 > _MODEL_TABLE_LIMIT:
-        raise Int64Overflow(f"a bullet scan to {n} exceeds the cap of {_MODEL_TABLE_LIMIT} integers")
+        raise Int64Overflow(f"the range to {n} exceeds the model table cap of {_MODEL_TABLE_LIMIT} integers")
 
 
 def _omegas(monoid, n, domain):
@@ -540,7 +544,7 @@ def bullets_brute_force(monoid: NumericalMonoid, x):
         return _zero_bullet(monoid)
     gens = monoid.generators
     budget = x + monoid.frobenius + gens[-1]
-    rows, values = _sorted_grid(gens, _grid_budget(gens, budget))
+    rows, values = _sorted_grid(gens, budget)
     # bullet values lie in [x, budget]: y = v - x sits in [0, F + nk]
     lo, hi = np.searchsorted(values, (max(x, 0), budget + 1))
     rows = rows[lo:hi]
@@ -555,27 +559,31 @@ def bullets_via_apery(monoid: NumericalMonoid, x):
     """bul(x) from restricted factorizations over Apery-set intersections.
 
     Unions Z_A(y + x) over every non-empty generator subset A and every
-    y in the intersection of the Apery sets of A.  Subsets whose gcd
-    cannot divide y + x contribute nothing and are skipped.
+    y in the intersection of the Apery sets of A, reading them all off
+    one grid over A up to x plus its largest y.
     """
     x = require_i64(x, "target")
     if monoid.contains(-x):
         return _zero_bullet(monoid)
+    gens = monoid.generators
     result = set()
-    for subset, d, common in _apery_intersections(monoid):
-        for t in [y + x for y in common]:
-            if t >= 0 and t % d == 0:
-                result |= brute_force_factorizations(monoid, t, support=subset)
+    for A, common in _apery_intersections(monoid):
+        if x + common[-1] < 0:  # every x + y < 0: no vector has that value
+            continue
+        rows, values = _sorted_grid(A, x + common[-1])
+        rows = rows[np.isin(values, np.add(common, x))]
+        full = np.zeros((len(rows), len(gens)), dtype=np.int64)
+        full[:, [gens.index(g) for g in A]] = rows
+        result |= set(map(tuple, full.tolist()))
     return result
 
 
-@lru_cache(maxsize=1)
 def _apery_intersections(monoid):
-    """(A, gcd(A), sorted common Apery elements of A) for each generator subset A that has some."""
+    """(A, sorted common Apery elements of A) for each generator subset A that has some."""
     subsets = itertools.chain.from_iterable(
         itertools.combinations(monoid.generators, size) for size in range(1, monoid.k + 1))
     commons = ((A, monoid.apery_intersection(A)) for A in subsets)
-    return tuple((A, math.gcd(*A), common) for A, common in commons if common)
+    return tuple((A, common) for A, common in commons if common)
 
 
 def _passes(monoid, support):
@@ -639,7 +647,7 @@ def _apery_omegas(monoid, x_max):
     base = min(-monoid.frobenius, 0)
     x = np.arange(base, x_max + 1)
     w = np.full(len(x), -1, dtype=np.int64)
-    for A, _, common in _apery_intersections(monoid):
+    for A, common in _apery_intersections(monoid):
         common = [y for y in common if y >= -x_max]  # else x + y < 0 for every x
         if not common:
             continue
@@ -709,10 +717,6 @@ def quasilinear_model(monoid: NumericalMonoid):
     threshold = _threshold(monoid)
     top = threshold + 2 * n1
     base = min(-monoid.frobenius, 0)
-    if top - base + 1 > _MODEL_TABLE_LIMIT:
-        raise Int64Overflow(
-            f"quasilinear model range [{base}, {top}] exceeds the model table cap"
-        )
     w = _omega_table(monoid, top)  # omega(m) at index m - base
     w.flags.writeable = False
     # one anchor per residue class mod n1, each in (threshold, threshold + n1]

@@ -103,9 +103,9 @@ class TestBruteForce:
         with pytest.raises(NotAGenerator):
             brute_force_factorizations(MCNUGGET, 60, support={7})
 
-    def test_a_rounded_grid_past_the_row_cap_falls_back_to_the_exact_budget(self):
-        # budget 0 rounds up to a grid of 256, which holds more than 2**21
-        # vectors over these ten generators; the grid of budget 0 holds one
+    def test_brute_force_builds_the_grid_of_its_exact_target(self):
+        # the grid to 256 holds more than 2**21 vectors over these ten
+        # generators; the grid to the target 0 holds one
         S = NumericalMonoid([10, 12, 13, 14, 15, 16, 17, 18, 19, 21])
         assert not _grid_fits(S.generators, 256)
         assert brute_force_factorizations(S, 0) == {(0,) * 10}
@@ -116,11 +116,9 @@ class TestBruteForce:
         for budget in (0, 5, 21, 60, 97):
             rows = len(_sorted_grid(gens, budget)[0])
             for limit, fits in ((rows, True), (rows - 1, False)):
-                _grid_fits.cache_clear()
                 monkeypatch.setattr(factorization_module, "_GRID_ROWS_LIMIT", limit)
                 assert _grid_fits(gens, budget) == fits, (budget, limit)
                 monkeypatch.undo()
-        _grid_fits.cache_clear()
 
 
 class TestScaling:

@@ -90,16 +90,32 @@ class TestBullets:
         assert peak < 1_000_000
 
     def test_apery_oracle_answers_each_monoid_asked_in_turn(self):
-        # the Apery intersections are memoized per monoid: one kept for the
-        # wrong monoid would give wrong bullets on the next one
+        # no state carries over from one monoid to the next: asked in
+        # reverse order, the oracle gives the same bullets
         monoids = [NumericalMonoid(g) for g in
                    ((6, 9, 20), (10, 17, 19, 25, 31), (2, 3), (7, 15, 17, 18, 20))]
         targets = [(S, x) for S in monoids
                    for x in range(-S.frobenius - 2, S.frobenius + S.generators[-1] + 3)]
         first = [bullets_via_apery(S, x) for S, x in targets]
         assert first == [bullets_brute_force(S, x) for S, x in targets]
-        omega_module._apery_intersections.cache_clear()
         assert [bullets_via_apery(S, x) for S, x in targets[::-1]] == first[::-1]
+
+    def test_apery_oracle_on_ten_generators_builds_one_grid_per_subset(self):
+        # 1,023 generator subsets; one grid each, up to 60 plus the largest
+        # element of its Apery intersection, traces about 0.9 MiB, and the
+        # brute grid to 60 + F(S) + nk about 1.2 MiB
+        S = NumericalMonoid([10, 12, 13, 14, 15, 16, 17, 18, 19, 21])
+        bullets = []
+        for oracle in (bullets_via_apery, bullets_brute_force):
+            tracemalloc.start()
+            try:
+                bullets.append(oracle(S, 60))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, oracle
+        assert bullets[0] == bullets[1]
+        assert len(bullets[0]) == 1219
 
 
 class TestDynamicBullets:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from numfac import NumericalMonoid, bullets_brute_force, omega_up_to, quasilinear_model
-from numfac.factorization import _grid_fits, _sorted_grid
+from numfac.factorization import _sorted_grid
 from numfac.omega import _apery_omegas, _blocks, _bullet_table
 from numfac.verify import (
     _ANTICHAIN_LIMIT,
@@ -147,12 +147,8 @@ def test_omega_range_stops_before_the_grid_cap(monkeypatch):
     reach = S.frobenius + S.generators[-1]
     rows = len(_sorted_grid(S.generators, 150 + reach)[0])
     assert len(_sorted_grid(S.generators, 151 + reach)[0]) > rows
-    _grid_fits.cache_clear()
     monkeypatch.setattr(factorization_module, "_GRID_ROWS_LIMIT", rows)
-    try:
-        assert _omega_range(S, 300) == 150
-    finally:
-        _grid_fits.cache_clear()
+    assert _omega_range(S, 300) == 150
 
 
 def test_an_empty_bullet_set_fails_the_omega_count(monkeypatch):
