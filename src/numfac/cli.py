@@ -26,8 +26,10 @@ Tables of integers (the sweeps, factorizations, bullets) leave as text a
 batch of rows at a time: ``_text`` renders int columns and the literal
 separators around them in one vectorized pass, with no Python object
 per row, and writes each batch to stdout as the scan yields it.  An int
-is read four digits at a time: each group's characters and leading-zero
-mask come from two tables of the 10**4 groups, not one division per digit.
+is read four digits at a time from one table of the 10**4 groups, not
+one division per digit, and every byte a row does not use, such as a
+leading zero, holds NUL; the rendered block drops its NULs with one
+``bytes.translate``, so no mask marks the bytes in use.
 
 Exit codes (``_EXITS`` maps exceptions onto them): 0 success, 1 usage or
 precondition error, a failed ``verify`` check, or stdout closed before
@@ -184,40 +186,45 @@ def _text(rows, fields):
 
     A field is an int array with one number per row, a str, or a pair
     (str, shown) whose bool array marks the rows that carry the str.
-    Each field is written once into one (width, rows) uint8 block and a
-    mask of the bytes in use, so no Python object is made per row.
+    Each field is written once into one (width, rows) uint8 block, with
+    NUL in every byte a row does not use; the NULs are deleted from the
+    rows' bytes at the end, so no Python object is made per row.  No
+    str field holds a NUL.
     """
     pieces = []
     for field in fields:
         if isinstance(field, np.ndarray):
-            pieces.append([a.T for a in _digits(field)])
+            pieces.append(_digits(field).T)
         else:
             text, shown = field if isinstance(field, tuple) else (field, True)
-            pieces.append((np.frombuffer(text.encode(), np.uint8)[:, None], shown))
-    width = sum(len(c) for c, _ in pieces)
-    chars, keep = np.empty((width, rows), np.uint8), np.empty((width, rows), bool)
+            pieces.append(np.frombuffer(text.encode(), np.uint8)[:, None] * shown)
+    chars = np.empty((sum(map(len, pieces)), rows), np.uint8)
     at = 0
-    for c, k in pieces:
-        chars[at:at + len(c)], keep[at:at + len(c)] = c, k
+    for c in pieces:
+        chars[at:at + len(c)] = c
         at += len(c)
-    return chars.T[keep.T].tobytes().decode()
+    return chars.T.tobytes().translate(None, b"\0").decode()
 
 
 @functools.cache  # on first use: commands that render no int column never build them
-def _quad_tables():
-    """uint32 tables over r < 10**4: r's 4 ASCII digits, and 1 bytes from its leading digit on."""
-    r, places = np.arange(10**4, dtype=np.uint16), (1000, 100, 10, 1)
-    chars = np.stack([r // p % 10 + ord("0") for p in places], axis=1).astype(np.uint8)
-    keep = np.stack([r >= p for p in places], axis=1)
-    return tuple(np.frombuffer(t.tobytes(), np.uint32) for t in (chars, keep))  # read-only
+def _quad_table():
+    """uint32 table of 4 ASCII bytes over r < 2 * 10**4.
+
+    At r < 10**4 the digits of r with NUL for its leading zeros (all
+    NUL at 0), and at r >= 10**4 all four digits of r - 10**4.
+    """
+    r, places = np.arange(2 * 10**4, dtype=np.uint16), (1000, 100, 10, 1)
+    chars = np.stack([(r // p % 10 + ord("0")) * ((r >= p) | (r >= 10**4)) for p in places],
+                     axis=1).astype(np.uint8)
+    return np.frombuffer(chars.tobytes(), np.uint32)  # read-only
 
 
 def _digits(values):
-    """The sign and digits of int values, right-aligned, and a mask of the bytes in use.
+    """The sign and digits of int values, right-aligned, with NUL in the bytes not in use.
 
     Negation in uint64 is exact for every int64, -2**63 included.
     """
-    quad_chars, quad_keep = _quad_tables()
+    quads = _quad_table()
     negative = values < 0
     signed = bool(negative.any())
     mag = values.astype(np.uint64)
@@ -227,21 +234,21 @@ def _digits(values):
         mag = mag.astype(np.uint32)
     width = len(str(top)) + signed
     groups = -(-width // 4)  # of four digits, the first holding the sign and leading digits
-    chars, keep = np.empty((2, len(values), groups), np.uint32)
+    chars = np.empty((len(values), groups), np.uint32)
     for g in range(groups - 1, 0, -1):
         rest = mag // 10**4
-        chars[:, g] = quad_chars.take(mag - rest * 10**4)
-        keep[:, g] = quad_keep.take(np.minimum(mag, 10**4 - 1))  # all 4 below a nonzero digit
+        low = mag - rest * 10**4
+        # all 4 digits below a nonzero digit (mag >= low + 10**4), else leading zeros as NUL
+        chars[:, g] = quads.take(np.minimum(mag, low + 10**4))
         mag = rest
-    chars[:, 0], keep[:, 0] = quad_chars.take(mag), quad_keep.take(mag)
+    chars[:, 0] = quads.take(mag)
     chars = chars.view(np.uint8)[:, 4 * groups - width:]
-    keep = keep.view(bool)[:, 4 * groups - width:]
-    keep[:, -1] = True  # 0 shows one digit
+    chars[:, -1] |= ord("0")  # 0 shows one digit
     if signed:
         rows = np.flatnonzero(negative)
-        sign = width - 1 - keep[rows].sum(axis=1)
-        chars[rows, sign], keep[rows, sign] = ord("-"), True
-    return chars, keep
+        sign = width - 1 - np.count_nonzero(chars[rows], axis=1)
+        chars[rows, sign] = ord("-")
+    return chars
 
 
 def _rows(columns, prefix, between, *suffix):

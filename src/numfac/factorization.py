@@ -12,7 +12,9 @@ makes the union disjoint, so each vector is produced exactly once:
 Z(m) is stored part by part in ascending i, and every row of part i has
 its first nonzero index at i.  So the rows of Z(m - ni) that vanish
 below index i are a suffix of that array, located by the part offsets
-stored beside it: each step copies k suffixes and filters no rows.  The
+stored beside it: each step copies k suffixes and filters no rows.  Z(m)
+is stored in column order, so column i of part i is one contiguous run:
+the step copies each suffix as it is and adds 1 to that run alone.  The
 same layout puts every Z(m) in descending lexicographic order: a row of
 part i sorts above every row of a later part, and adding e_i to a suffix
 keeps its order.
@@ -21,12 +23,14 @@ Length sets satisfy the same recurrence with "append e_i" replaced by
 "+1", which is why they can be scanned without ever materializing a
 factorization.  Each recurrence is one direct loop over a ring buffer of
 the last nk results, so memory stays proportional to the window, not to
-the target.  Both loops read the predecessors of m through one slot
-table, built once per scan by ``_slots``: the ring slots (r - ni) % nk
-of the residue r = m mod nk.  (omega's dynamic bullets run their own
-loop, a block of n1 elements per step.)  Membership comes from the
-recurrence itself: m > 0 lies in S iff some m - ni does, so an empty
-union marks a gap.
+the target.  The Z loop reads the predecessor m - ni of m at the list
+index r - ni of the residue r = m mod nk, which Python wraps to the slot
+(r - ni) % nk, since r - ni >= -nk.  The L loop, whose step is cheaper,
+reads them through a slot table built once per scan by ``_slots``; the
+table is faster to read but holds a tuple per residue the scan reaches.
+(omega's dynamic bullets run their own loop, a block of n1 elements per
+step.)  Membership comes from the recurrence itself: m > 0 lies in S iff
+some m - ni does, so an empty union marks a gap.
 
 Length sets are stored internally as integer bitmasks (bit l set iff l
 is an attainable length); shifting a mask left by one adds 1 to every
@@ -69,26 +73,6 @@ def _final(scan):
     return deque(scan, maxlen=1)[0][1]
 
 
-def _extend(preds, units):
-    # preds[i] is (Z(m - ni), starts); starts[i] counts the rows whose first
-    # nonzero index is below i.  Rows run in ascending first-nonzero index, so
-    # the a that vanish below index i are the suffix from starts[i], and part i
-    # is that suffix plus e_i = units[i].  An empty union means m is not in S.
-    offsets = [0]
-    for i, entry in enumerate(preds):
-        offsets.append(offsets[-1] + (0 if entry is None else len(entry[0]) - entry[1][i]))
-    if not offsets[-1]:
-        return None
-    # column order: each column of a part is one contiguous run
-    Z = np.empty((offsets[-1], len(preds)), units.dtype, order="F")
-    for i, entry in enumerate(preds):
-        lo, hi = offsets[i], offsets[i + 1]
-        if lo < hi:
-            np.add(entry[0][entry[1][i]:], units[i], out=Z[lo:hi])
-    Z.setflags(write=False)
-    return Z, offsets
-
-
 def factorizations_up_to(monoid: NumericalMonoid, n):
     """Yield (m, Z(m)) for every monoid element m in [0, n], ascending.
 
@@ -103,21 +87,48 @@ def factorizations_up_to(monoid: NumericalMonoid, n):
     so iterating without keeping references streams in bounded memory.
     """
     n = _checked_target(n)
+    gens, k = monoid.generators, monoid.k
     # no exponent exceeds t = n // n1
-    t = n // monoid.generators[0]
+    t = n // gens[0]
     dtype = np.int16 if t < 2**15 - 1 else np.int32 if t < 2**31 - 1 else np.int64
-    zero = np.zeros((1, monoid.k), dtype=dtype)
+    zero = np.zeros((1, k), dtype=dtype)
     zero.setflags(write=False)
-    units = np.eye(monoid.k, dtype=dtype)
-    nk, slots = monoid.generators[-1], _slots(monoid.generators, n)
-    # a slot not yet written holds None, the entry of a gap
-    window = [None] * nk
-    window[0] = (zero, [0] * monoid.k)
+    one, nk, parts = dtype(1), gens[-1], list(enumerate(gens))
+    # ring slot r holds (Z(m), offsets) for the last m = r mod nk: offsets[i]
+    # counts the rows whose first nonzero index is below i, and offsets[k]
+    # all rows.  A gap, and a slot not yet written, holds no rows.  Since
+    # r - g >= -nk, the index r - g reads the slot (r - g) % nk of m - g.
+    gap = (None, [0] * (k + 1))
+    window = [gap] * nk
+    window[0] = (zero, [0] * k + [1])
     yield 0, zero
     for m in range(1, n + 1):
-        entry = window[m % nk] = _extend([window[i] for i in slots[m % nk]], units)
-        if entry is not None:
-            yield m, entry[0]
+        r = m % nk
+        # rows run in ascending first-nonzero index, so the a in Z(m - ni)
+        # that vanish below index i are its rows from offsets[i] on, and part
+        # i is those rows plus e_i.  An empty union means m is not in S.
+        starts = [0]
+        for i, g in parts:
+            offsets = window[r - g][1]
+            starts.append(starts[-1] + offsets[k] - offsets[i])
+        rows = starts[k]
+        if not rows:
+            window[r] = gap
+            continue
+        # column order: column i of part i is one contiguous run of flat
+        Z = np.empty((rows, k), dtype, order="F")
+        flat = Z.T.reshape(-1)
+        for i, g in parts:
+            lo, hi = starts[i], starts[i + 1]
+            if lo < hi:
+                P, offsets = window[r - g]
+                Z[lo:hi] = P[offsets[i]:]
+                v = flat[i * rows + lo:i * rows + hi]
+                np.add(v, one, v)
+        del P  # so the ring alone keeps Z(m - nk), replaced below, alive
+        Z.setflags(write=False)
+        window[r] = Z, starts
+        yield m, Z
 
 
 def factorizations(monoid: NumericalMonoid, n):

@@ -579,10 +579,15 @@ def bullets_via_apery(monoid: NumericalMonoid, x):
 
 
 def _apery_intersections(monoid):
-    """(A, sorted common Apery elements of A) for each generator subset A that has some."""
+    """(A, sorted common Apery elements of A) for each generator subset A that has some.
+
+    Each Ap(S, g) is built once and intersected per subset, as
+    ``NumericalMonoid.apery_intersection`` would for one subset.
+    """
+    apery = {g: set(monoid.apery_set(g).elements) for g in monoid.generators}
     subsets = itertools.chain.from_iterable(
         itertools.combinations(monoid.generators, size) for size in range(1, monoid.k + 1))
-    commons = ((A, monoid.apery_intersection(A)) for A in subsets)
+    commons = ((A, tuple(sorted(set.intersection(*(apery[g] for g in A))))) for A in subsets)
     return tuple((A, common) for A, common in commons if common)
 
 

@@ -62,7 +62,7 @@ def factorization_oracle(monoid: NumericalMonoid, limit):
     checked = failures = 0
     dynamic = {}
     for m, Z in factorizations_up_to(monoid, limit):
-        rows = {tuple(int(v) for v in row) for row in Z}
+        rows = set(map(tuple, Z.tolist()))
         if len(rows) != len(Z):  # duplicate exponent vectors
             failures += 1
         dynamic[m] = rows
@@ -81,9 +81,7 @@ def length_consistency(monoid: NumericalMonoid, limit):
     masks = dict(_length_masks_up_to(monoid, limit))
     for m, Z in factorizations_up_to(monoid, limit):
         checked += 1
-        from_z = sorted({int(row.sum()) for row in Z})
-        from_l = [int(v) for v in _mask_to_lengths(masks[m])]
-        if from_z != from_l:
+        if sorted(set(Z.sum(axis=1).tolist())) != _mask_to_lengths(masks[m]).tolist():
             failures += 1
     return PropertyResult("length sets match factorization lengths", checked, failures)
 

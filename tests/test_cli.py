@@ -334,6 +334,26 @@ class TestRenderer:
         expected = "".join(",".join(map(str, row)) + "\n" for row in rows)
         assert cli._rows(columns, "", ",", "\n") == expected
 
+    # the sweep renders the columns of np.concatenate(Zs).T, views into one
+    # block of its row dtype: contiguous runs when the Z(m) are F-ordered as
+    # the scan yields them, strided ones when they are C-ordered
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_z_column_views_match_str(self, dtype, order, data):
+        lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+        fits = st.tuples(*[st.integers(lo, hi)] * 3)
+        blocks = data.draw(st.lists(st.lists(fits, min_size=1, max_size=12), max_size=4))
+        # both ends of the dtype and every EDGES value that fits it, negated too
+        blocks.append([(v, -v if v > lo else v, 7) for v in [lo, hi, *EDGES] if lo <= v <= hi])
+        Zs = [np.array(rows, dtype, order=order) for rows in blocks]
+        columns = list(np.concatenate(Zs).T)
+        assert all(c.dtype == dtype and c.base is not None for c in columns)
+        assert all(c.flags.contiguous == (order == "F") for c in columns)
+        expected = "".join(",".join(map(str, row)) + "\n" for rows in blocks for row in rows)
+        assert cli._rows(columns, "", ",", "\n") == expected
+
     @given(st.lists(st.tuples(int64s, st.booleans()), min_size=1, max_size=40))
     def test_fields_a_row_does_not_carry_are_left_out(self, rows):
         values = np.array([v for v, _ in rows], dtype=np.int64)

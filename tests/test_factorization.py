@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import tracemalloc
 
 import pytest
@@ -153,3 +154,16 @@ class TestScaling:
         finally:
             tracemalloc.stop()
         assert peak < window + 2**20, (peak, window)
+
+    def test_sweep_past_a_huge_nk_builds_no_slot_table(self):
+        # the ring of nk = 1,048,577 slots takes 8 MiB; a table of the slots
+        # (r - ni) % nk of every residue the scan reaches would take 134 MB
+        S = NumericalMonoid([2, 1048577])
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(factorizations_up_to(S, 10**7), 10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [(m, Z.tolist()) for m, Z in first] == [(2 * j, [[j, 0]]) for j in range(10)]
+        assert peak < 16 * 2**20, peak

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -116,6 +117,33 @@ class TestBullets:
             assert peak < 4 * 2**20, oracle
         assert bullets[0] == bullets[1]
         assert len(bullets[0]) == 1219
+
+
+# every monoid of the acceptance tables
+ACCEPTANCE = [
+    (1,), (2, 3), (6, 9, 20), (10, 12, 15), (11, 13, 15), (15, 27, 32, 35),
+    (7, 15, 17, 18, 20), (10, 12, 15, 16, 17), (10, 17, 19, 25, 31), (7, 19, 20, 25, 29),
+    (31, 73, 77, 87, 91), (51, 53, 55, 117), (11, 53, 73, 87), (100, 121, 142, 163, 284),
+    (10, 12, 13, 14, 15, 16, 17, 18, 19, 21),
+]
+
+
+@pytest.mark.parametrize("gens", ACCEPTANCE)
+def test_apery_intersections_build_each_apery_set_once(gens, monkeypatch):
+    S = NumericalMonoid(gens)
+    bases = []
+    apery_set = NumericalMonoid.apery_set
+
+    def counted(self, base):
+        bases.append(base)
+        return apery_set(self, base)
+
+    monkeypatch.setattr(NumericalMonoid, "apery_set", counted)
+    found = omega_module._apery_intersections(S)
+    assert sorted(bases) == list(S.generators)
+    monkeypatch.undo()
+    subsets = [A for size in range(1, S.k + 1) for A in itertools.combinations(S.generators, size)]
+    assert found == tuple((A, S.apery_intersection(A)) for A in subsets if S.apery_intersection(A))
 
 
 class TestDynamicBullets:

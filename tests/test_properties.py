@@ -220,6 +220,10 @@ def test_suffix_offset_step_matches_row_filter(gens):
     ((51, 53, 55, 117), 800),
     ((7, 15, 17, 18, 20), 250),
     ((100, 121, 142, 163, 284), 2500),
+    # a target below nk: the ring never wraps
+    ((100, 121, 142, 163, 284), 250),
+    # the ring wraps four times, each slot read by a negative index
+    ((2, 1025), 5000),
 ])
 def test_suffix_offset_step_matches_row_filter_on_table_monoids(gens, n):
     _assert_matches_row_filter(NumericalMonoid(gens), n)
